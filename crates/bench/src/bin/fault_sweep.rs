@@ -18,16 +18,16 @@
 //!
 //! The sweep is **crash-safe** (ISSUE 3): every point — clean, software
 //! baseline, and each degraded run — is persisted atomically to the
-//! `BENCH_faults.points/` manifest the moment it completes. Run with
+//! `BENCH_faults.points/` point store the moment it completes. Run with
 //! `--resume` to skip completed points after a kill; the reassembled
 //! `BENCH_faults.json` is bit-identical to an uninterrupted run's
 //! because the report is always built from the stored records (floats
 //! round-trip as IEEE-754 bit patterns). Without `--resume` the
-//! manifest is cleared and everything recomputes.
+//! store is cleared and everything recomputes.
 
 use bench::JsonObject;
 use stitch::{
-    Arch, FaultKind, FaultPlan, Rec, RecView, SweepManifest, TileId, Workbench, DEFAULT_FRAMES,
+    Arch, ArtifactStore, FaultKind, FaultPlan, Rec, RecView, TileId, Workbench, DEFAULT_FRAMES,
 };
 use stitch_apps::App;
 
@@ -38,15 +38,15 @@ const MAX_FAILED: usize = 4;
 /// shuffle the greedy stitcher's placement enough to win back a percent.
 const MONOTONE_SLACK: f64 = 1.02;
 
-/// Manifest directory for crash-safe resume.
+/// Point-store directory for crash-safe resume.
 const POINTS_DIR: &str = "BENCH_faults.points";
 
-/// Payload format version; bump on layout changes so stale manifests
+/// Payload format version; bump on layout changes so stale point records
 /// read as absent and recompute.
 const REC_VERSION: u8 = 1;
 
 /// Everything a sweep point contributes to the report and to the
-/// cross-point assertions, in manifest-storable form.
+/// cross-point assertions, in storable form.
 struct PointRec {
     throughput_fps: f64,
     accelerated: u64,
@@ -110,16 +110,16 @@ fn decode_point(bytes: &[u8]) -> Option<PointRec> {
     })
 }
 
-/// Loads the point from the manifest, or computes it and persists it
+/// Loads the point from the point store, or computes it and persists it
 /// atomically before returning. All report assembly downstream uses the
 /// returned record only, so resumed and fresh sweeps emit identical
 /// bytes.
-fn point(manifest: &SweepManifest, key: &str, compute: impl FnOnce() -> PointRec) -> PointRec {
-    if let Some(rec) = manifest.load(key).and_then(|b| decode_point(&b)) {
+fn point(store: &ArtifactStore, key: &str, compute: impl FnOnce() -> PointRec) -> PointRec {
+    if let Some(rec) = store.load(key).and_then(|b| decode_point(&b)) {
         return rec;
     }
     let rec = compute();
-    manifest
+    store
         .store(key, &encode_point(&rec))
         .unwrap_or_else(|e| panic!("persist sweep point {key}: {e}"));
     rec
@@ -131,14 +131,14 @@ fn main() {
         "{}",
         bench::header("Fault sweep: throughput vs failed patches")
     );
-    let manifest = SweepManifest::open(POINTS_DIR).expect("open sweep manifest");
+    let store = ArtifactStore::open(POINTS_DIR).expect("open sweep point store");
     if resume {
         println!(
             "resuming: {} completed point(s) in {POINTS_DIR}/",
-            manifest.completed()
+            store.completed()
         );
     } else {
-        manifest.clear().expect("clear sweep manifest");
+        store.clear().expect("clear sweep point store");
     }
     let mut ws = Workbench::new();
     let apps = App::all();
@@ -148,7 +148,7 @@ fn main() {
     let mut worst_retention = f64::INFINITY;
     for app in &apps {
         let clean = point(
-            &manifest,
+            &store,
             &format!("{}-f{DEFAULT_FRAMES}-clean", app.name),
             || {
                 let run = ws
@@ -184,7 +184,7 @@ fn main() {
             },
         );
         let software = point(
-            &manifest,
+            &store,
             &format!("{}-f{DEFAULT_FRAMES}-software", app.name),
             || {
                 let run = ws
@@ -212,7 +212,7 @@ fn main() {
         let mut prev_fps = clean.throughput_fps;
         for k in 1..=clean.targets.len() {
             let run = point(
-                &manifest,
+                &store,
                 &format!("{}-f{DEFAULT_FRAMES}-failed{k}", app.name),
                 || {
                     let mut plan = FaultPlan::new(k as u64);

@@ -10,24 +10,24 @@
 //! wall time, cycle count, and summary digest are persisted atomically
 //! to `BENCH_sim.points/` as the point completes. Run with `--resume`
 //! to skip reference points that already finished — their wall times
-//! are reassembled from the manifest (the sequential wall figure is the
-//! sum of per-point times either way), and the engine cross-check falls
-//! back to the stored digest for points that were not re-simulated.
-//! Without `--resume` the manifest is cleared and everything re-runs.
+//! are reassembled from the point store (the sequential wall figure is
+//! the sum of per-point times either way), and the engine cross-check
+//! falls back to the stored digest for points that were not re-simulated.
+//! Without `--resume` the store is cleared and everything re-runs.
 
 use std::time::Instant;
 
 use bench::JsonObject;
-use stitch::manifest::fnv1a64;
-use stitch::{Rec, RecView, SimEngine, SweepManifest, SweepPoint, Workbench, DEFAULT_FRAMES};
+use stitch::{ArtifactStore, Rec, RecView, SimEngine, SweepPoint, Workbench, DEFAULT_FRAMES};
 use stitch_apps::App;
+use stitch_cache::fnv1a64;
 use stitch_kernels::all_kernels;
 use stitch_sim::{Arch, RunSummary, CLOCK_HZ};
 
-/// Manifest directory for crash-safe resume of the reference leg.
+/// Point-store directory for crash-safe resume of the reference leg.
 const POINTS_DIR: &str = "BENCH_sim.points";
 
-/// Payload format version; bump on layout changes so stale manifests
+/// Payload format version; bump on layout changes so stale point records
 /// read as absent and recompute. v2: `RunSummary` gained the
 /// observability `windows` field, which changes the debug rendering the
 /// digest hashes, so v1 digests can no longer be compared.
@@ -100,14 +100,14 @@ fn main() {
         "host threads: {threads} (sweep pool: {pool}); frames: {DEFAULT_FRAMES}; grid: {} points",
         grid.len()
     );
-    let manifest = SweepManifest::open(POINTS_DIR).expect("open sweep manifest");
+    let store = ArtifactStore::open(POINTS_DIR).expect("open sweep point store");
     if resume {
         println!(
             "resuming: {} completed reference point(s) in {POINTS_DIR}/",
-            manifest.completed()
+            store.completed()
         );
     } else {
-        manifest.clear().expect("clear sweep manifest");
+        store.clear().expect("clear sweep point store");
     }
 
     let mut ws = Workbench::new();
@@ -127,7 +127,7 @@ fn main() {
             "fig12-ref-{}-{:?}-f{DEFAULT_FRAMES}",
             apps[p.app].name, p.arch
         );
-        let point = match manifest.load(&key).and_then(|b| decode_ref_point(&b)) {
+        let point = match store.load(&key).and_then(|b| decode_ref_point(&b)) {
             Some(point) => {
                 reused += 1;
                 point
@@ -143,7 +143,7 @@ fn main() {
                     digest: summary_digest(&run.summary),
                     summary: Some(run.summary),
                 };
-                manifest
+                store
                     .store(&key, &encode_ref_point(&point))
                     .unwrap_or_else(|e| panic!("persist reference point {key}: {e}"));
                 point
@@ -155,7 +155,7 @@ fn main() {
     let sim_cycles: u64 = ref_points.iter().map(|p| p.cycles).sum();
     if reused > 0 {
         println!(
-            "reference leg: {reused}/{} points reused from the manifest",
+            "reference leg: {reused}/{} points reused from the point store",
             grid.len()
         );
     }

@@ -7,7 +7,7 @@
 //! kernel artifacts, the workbench's prepared-app artifacts) compose
 //! these.
 //!
-//! Design rules, shared with the sweep manifest:
+//! Design rules, shared with the store files:
 //!
 //! * **Deterministic bytes** — unordered containers (program symbols,
 //!   per-CI control maps) are serialized in sorted order, so the encoded

@@ -19,11 +19,16 @@
 //!   exactly as without the cache. Truncated, bit-flipped,
 //!   version-bumped, or impersonating files all read as misses.
 //!
+//! The same store is the record store of crash-safe resumable sweeps:
+//! `Workbench::sweep_resumable` and the sweep drivers keep one
+//! self-checking file per completed point in it, so a killed sweep
+//! resumes where it stopped.
+//!
 //! The crate sits below the compiler and workbench (it depends only on
 //! `stitch-isa`/`-patch`/`-noc`/`-verify`), so both can persist and
 //! reload their artifacts without dependency cycles. The shared
-//! [`Rec`]/[`RecView`] record codec lives here too; the sweep manifest
-//! in the `stitch` crate re-exports it.
+//! [`Rec`]/[`RecView`] record codec lives here too; the `stitch` crate
+//! re-exports it.
 
 pub mod codec;
 pub mod rec;

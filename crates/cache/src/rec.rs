@@ -1,5 +1,5 @@
-//! Little-endian record codec shared by the sweep manifest and the
-//! artifact store.
+//! Little-endian record codec shared by the artifact store's files and
+//! the payloads callers keep in it (artifacts and sweep points).
 //!
 //! Deliberately tiny: fixed-width integers, IEEE-754 bit-pattern floats
 //! (so a decoded value is *bit-identical* to the encoded one), and
@@ -7,8 +7,8 @@
 //! bounds-checked [`RecView`] reads; every accessor returns `None` past
 //! the end, so truncated or hostile bytes can never panic a reader.
 
-/// 64-bit FNV-1a, used as the self-checksum of manifest and artifact
-/// files (corruption detection only — content *keys* use SHA-256).
+/// 64-bit FNV-1a, used as the self-checksum of store files (corruption
+/// detection only — content *keys* use SHA-256).
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;

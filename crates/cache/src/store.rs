@@ -1,9 +1,10 @@
 //! The content-addressed artifact store.
 //!
-//! A directory of verified-artifact files, one per content key. The
-//! file discipline is the sweep manifest's, hardened for a cache whose
-//! *contents* are trusted artifacts (a decoded artifact skips live
-//! verification):
+//! A directory of self-checking record files, one per key: verified
+//! artifacts under content keys, and the per-point records of crash-safe
+//! resumable sweeps under point keys. The file discipline is hardened
+//! for a cache whose *contents* are trusted artifacts (a decoded
+//! artifact skips live verification):
 //!
 //! * **Atomic writes** — payloads go to a `.tmp` sibling first and are
 //!   `rename`d into place, so readers observe a complete file or none.
@@ -15,8 +16,8 @@
 //!   and the caller re-verifies live. A poisoned cache can cost time,
 //!   never correctness.
 //!
-//! Content keys are derived by callers from a SHA-256 over the artifact
-//! *inputs* (program bytes, ISE mappings, plan, arch parameters, and
+//! Artifact content keys are derived by callers from a SHA-256 over the
+//! artifact *inputs* (program bytes, ISE mappings, plan, arch parameters, and
 //! `stitch_verify::VERIFIER_VERSION`), so any mutated input — or a
 //! verifier upgrade — misses the cache by construction.
 
@@ -270,8 +271,10 @@ mod tests {
         let s = tmp_store("keys");
         s.store("a/b", b"one").expect("store");
         s.store("a_b", b"two").expect("store");
+        s.store("a:b", b"three").expect("store");
         assert_eq!(s.load("a/b").as_deref(), Some(&b"one"[..]));
         assert_eq!(s.load("a_b").as_deref(), Some(&b"two"[..]));
+        assert_eq!(s.load("a:b").as_deref(), Some(&b"three"[..]));
         let _ = fs::remove_dir_all(s.dir());
     }
 

@@ -22,7 +22,7 @@
 use crate::driver::{AcceleratedKernel, KernelVariants};
 use crate::mapper::PatchConfig;
 use crate::stitcher::{GrantedAccel, StitchPlan};
-use crate::verify::{seed_verify_memo, verify_kernel};
+use crate::verify::{seed_verify_memo_keyed, verify_kernel_keyed, verify_kernel_uncached};
 use stitch_cache::codec::{
     get_class, get_control, get_ise_check, get_program, get_report, put_class, put_control,
     put_ise_check, put_program, put_report,
@@ -356,7 +356,7 @@ pub fn verify_report_key(kv: &KernelVariants) -> Option<String> {
     Some(format!("v-{}-{}", kv.name, h.finalize_hex()))
 }
 
-/// [`verify_kernel`] backed by a persistent store: a valid stored
+/// [`crate::verify_kernel`] backed by a persistent store: a valid stored
 /// report for this exact artifact content (and verifier version) is
 /// returned directly — and seeded into the in-process memo — otherwise
 /// the kernel is verified live and the report persisted for the next
@@ -365,18 +365,18 @@ pub fn verify_report_key(kv: &KernelVariants) -> Option<String> {
 pub fn verify_kernel_stored(store: &ArtifactStore, kv: &KernelVariants) -> Report {
     let Some(key) = verify_report_key(kv) else {
         // Unencodable artifact: fall back to the live path entirely.
-        return verify_kernel(kv);
+        return verify_kernel_uncached(kv);
     };
     if let Some(payload) = store.load(&key) {
         let mut v = RecView::new(&payload);
         if let Some(report) = get_report(&mut v) {
             if v.at_end() {
-                seed_verify_memo(kv, report.clone());
+                seed_verify_memo_keyed(key, report.clone());
                 return report;
             }
         }
     }
-    let report = verify_kernel(kv);
+    let report = verify_kernel_keyed(kv, &key);
     let mut rec = Rec::new();
     put_report(&mut rec, &report);
     // Persisting is best-effort: a full disk costs the next process a
@@ -388,7 +388,7 @@ pub fn verify_kernel_stored(store: &ArtifactStore, kv: &KernelVariants) -> Repor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compile_kernel, stitch_application, AppKernel};
+    use crate::{compile_kernel, seed_verify_memo, stitch_application, verify_kernel, AppKernel};
     use stitch_isa::{ProgramBuilder, Reg};
 
     fn sample_kernel() -> stitch_isa::Program {
@@ -417,6 +417,33 @@ mod tests {
         let (kv2, report2) = decode_kernel_artifact(&bytes).expect("decode");
         assert_eq!(variants_fingerprint(&kv), variants_fingerprint(&kv2));
         assert_eq!(report, report2);
+    }
+
+    /// The verify memo keys by structure, not by `Debug` text: a decoded
+    /// artifact has freshly built `ci_controls` maps (their own iteration
+    /// order) and must still hit the memo entry the original seeded.
+    #[test]
+    fn decoded_variants_hit_the_memo_seeded_by_the_original() {
+        let kv = compile_kernel(
+            "memo-roundtrip",
+            &sample_kernel(),
+            &PatchConfig::all(),
+            None,
+        )
+        .expect("compiles");
+        let report = verify_kernel_uncached(&kv);
+        let bytes = encode_kernel_artifact(&kv, &report).expect("encode");
+        let (decoded, _) = decode_kernel_artifact(&bytes).expect("decode");
+        // No live verification emits this sentinel, so getting it back
+        // proves the decoded artifact was served from the memo.
+        let mut sentinel = report;
+        sentinel.push(stitch_verify::Diagnostic::warning(
+            "MEMO-SENTINEL",
+            stitch_verify::Span::None,
+            "seeded by the original artifact",
+        ));
+        seed_verify_memo(&kv, sentinel.clone());
+        assert_eq!(verify_kernel(&decoded), sentinel);
     }
 
     #[test]

@@ -9,14 +9,15 @@
 //! variant, plus an independent equivalence check of every custom
 //! instruction.
 
+use crate::artifact::verify_report_key;
 use crate::dfg::{BlockDfg, NodeOp, Src};
 use crate::driver::KernelVariants;
 use crate::mapper::OutPort;
 use crate::rewrite::Chosen;
 use crate::CompilerError;
 use std::collections::HashMap;
-use std::fmt::{self, Write as _};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use stitch_verify::{
     check_ise, check_program, IseCheck, IseMapping, IseNode, IseOp, IseOperand, IseOut,
     IseSubgraph, Report,
@@ -109,65 +110,26 @@ pub fn ise_check(
     })
 }
 
-/// Streams a value's debug rendering through two independent 64-bit
-/// hashes without materializing the string. FNV-1a for the first; the
-/// second seeds differently and folds through a splitmix-style odd
-/// multiplier, so a collision would have to defeat both at once.
-struct ContentHasher {
-    a: u64,
-    b: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-const ALT_OFFSET: u64 = 0x9e37_79b9_7f4a_7c15;
-const ALT_PRIME: u64 = 0xff51_afd7_ed55_8ccd;
-
-impl fmt::Write for ContentHasher {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        for &byte in s.as_bytes() {
-            self.a = (self.a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-            self.b = (self.b.rotate_left(23) ^ u64::from(byte)).wrapping_mul(ALT_PRIME);
-        }
-        Ok(())
-    }
-}
-
-/// Content key of a compiled kernel: a double 64-bit hash over the
-/// (deterministic) debug rendering of the full artifact set — baseline,
-/// variant programs, bindings, and ISE obligations all participate, so
-/// any change to what the verifier would see changes the key.
-fn content_key(kv: &KernelVariants) -> (u64, u64) {
-    let mut h = ContentHasher {
-        a: FNV_OFFSET,
-        b: ALT_OFFSET,
-    };
-    // Writing to the hasher is infallible.
-    let _ = write!(h, "{kv:?}");
-    (h.a, h.b)
-}
-
-/// Process-global memo of [`verify_kernel`] reports, keyed by artifact
-/// content. Shared across workbench clones (sweep workers re-verify the
-/// same prewarmed kernels), bounded by the number of distinct kernels a
-/// process compiles.
-fn memo() -> &'static Mutex<HashMap<(u64, u64), Report>> {
-    static MEMO: OnceLock<Mutex<HashMap<(u64, u64), Report>>> = OnceLock::new();
+/// Process-global memo of [`verify_kernel`] reports, keyed by the
+/// structural [`verify_report_key`] of the artifact. Shared across
+/// workbench clones (sweep workers re-verify the same prewarmed
+/// kernels), bounded by the number of distinct kernels a process
+/// compiles.
+fn memo() -> MutexGuard<'static, HashMap<String, Report>> {
+    static MEMO: OnceLock<Mutex<HashMap<String, Report>>> = OnceLock::new();
     MEMO.get_or_init(|| Mutex::new(HashMap::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
+
+/// [`verify_kernel`] calls served from the in-process memo so far.
+static MEMO_HITS: AtomicU64 = AtomicU64::new(0);
 
 /// Number of [`verify_kernel`] calls served from the in-process memo
 /// (diagnostic, e.g. for benchmark reports).
 #[must_use]
 pub fn verify_memo_hits() -> u64 {
-    *hits_counter()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn hits_counter() -> &'static Mutex<u64> {
-    static HITS: OnceLock<Mutex<u64>> = OnceLock::new();
-    HITS.get_or_init(|| Mutex::new(0))
+    MEMO_HITS.load(Ordering::Relaxed)
 }
 
 /// Full static verification of one compiled kernel: dataflow lints over
@@ -178,31 +140,28 @@ fn hits_counter() -> &'static Mutex<u64> {
 /// artifact the compiler emits; the driver gates on this before any
 /// measurement, and the fuzz harness re-checks it as an oracle.
 ///
-/// Reports are memoized in-process by artifact content hash, so
+/// Reports are memoized in-process by [`verify_report_key`], so
 /// repeated gates on identical kernels (sweep workers each cloning a
 /// prewarmed workbench) are cache hits; use
 /// [`verify_kernel_uncached`] to force a re-analysis.
 #[must_use]
 pub fn verify_kernel(kv: &KernelVariants) -> Report {
-    let key = content_key(kv);
-    {
-        let cache = memo()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(report) = cache.get(&key) {
-            let report = report.clone();
-            drop(cache);
-            *hits_counter()
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) += 1;
-            return report;
-        }
+    match verify_report_key(kv) {
+        Some(key) => verify_kernel_keyed(kv, &key),
+        // Unencodable artifact: no key to memoize under.
+        None => verify_kernel_uncached(kv),
+    }
+}
+
+/// [`verify_kernel`] for a caller that already holds `kv`'s
+/// [`verify_report_key`].
+pub(crate) fn verify_kernel_keyed(kv: &KernelVariants, key: &str) -> Report {
+    if let Some(report) = memo().get(key).cloned() {
+        MEMO_HITS.fetch_add(1, Ordering::Relaxed);
+        return report;
     }
     let report = verify_kernel_uncached(kv);
-    memo()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .insert(key, report.clone());
+    memo().insert(key.to_owned(), report.clone());
     report
 }
 
@@ -210,10 +169,15 @@ pub fn verify_kernel(kv: &KernelVariants) -> Report {
 /// e.g. one reloaded from the persistent artifact store — so later
 /// [`verify_kernel`] gates on the same content stay in-process hits.
 pub fn seed_verify_memo(kv: &KernelVariants, report: Report) {
-    memo()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .insert(content_key(kv), report);
+    if let Some(key) = verify_report_key(kv) {
+        seed_verify_memo_keyed(key, report);
+    }
+}
+
+/// [`seed_verify_memo`] under an already computed
+/// [`verify_report_key`].
+pub(crate) fn seed_verify_memo_keyed(key: String, report: Report) {
+    memo().insert(key, report);
 }
 
 /// [`verify_kernel`] without the in-process memo: always re-runs every
@@ -305,6 +269,6 @@ mod tests {
             None,
         )
         .expect("compiles");
-        assert_ne!(super::content_key(&kv), super::content_key(&kv2));
+        assert_ne!(verify_report_key(&kv), verify_report_key(&kv2));
     }
 }

@@ -652,7 +652,7 @@ impl Platform for TilePlatform<'_> {
                 }
                 self.mem.poke_words(addr, &msg.words);
                 // The completing poll happens on a real tick in both
-                // engines (a deliverable message blocks `try_skip`), so
+                // engines (a deliverable message blocks the fast path), so
                 // this event is engine-identical.
                 let (cycle, tile) = (self.cycle, self.tile.0);
                 self.tracer.emit(|| TraceEvent::RecvDone {
@@ -1646,9 +1646,9 @@ impl Chip {
     /// Applies every fault event whose cycle has been reached.
     ///
     /// Runs at the top of [`Chip::tick`] — after the clock advances,
-    /// before the mesh moves — and [`Chip::try_skip`] never jumps past a
-    /// pending event, so both engines apply each fault at exactly its
-    /// scheduled cycle.
+    /// before the mesh moves — and [`Chip::fast_forward`] never jumps
+    /// past a pending event, so both engines apply each fault at exactly
+    /// its scheduled cycle.
     fn apply_due_faults(&mut self) {
         loop {
             let Some(f) = self.faults.as_mut() else {
@@ -1711,13 +1711,13 @@ impl Chip {
 
     /// Runs until every core halts, using the event-driven fast path.
     ///
-    /// Whenever the mesh is idle and every live core is either busy
-    /// beyond the next cycle or parked in a `recv` with no deliverable
-    /// message, the intermediate cycles are fully deterministic: busy
-    /// cores stall and waiting cores repeat the same failed poll. The
-    /// loop jumps straight to the earliest wake-up, replaying the
-    /// batched poll side effects, instead of ticking through them.
-    /// Produces a [`RunSummary`] bit-identical to
+    /// Whenever the mesh is idle and no waiting core has a deliverable
+    /// message, the intermediate cycles are fully deterministic: ready
+    /// cores run translated code, busy cores stall and waiting cores
+    /// repeat the same failed poll. Each iteration makes one
+    /// fast-forward call that jumps over such a stretch,
+    /// replaying the batched poll side effects, instead of ticking
+    /// through it. Produces a [`RunSummary`] bit-identical to
     /// [`Chip::run_reference`].
     ///
     /// # Errors
@@ -1729,7 +1729,7 @@ impl Chip {
         let start = self.cycle;
         let deadline = start.saturating_add(max_cycles);
         // The cycle budget acts like a second deadline with a typed
-        // error; the skip/window horizon is clamped below the earlier of
+        // error; the fast-forward horizon is clamped below the earlier of
         // the two so either fires on its exact cycle.
         let budget_deadline = self
             .budget
@@ -1747,8 +1747,7 @@ impl Chip {
             if self.cycle >= deadline {
                 return Err(SimError::Timeout { max_cycles });
             }
-            self.try_window(horizon);
-            self.try_skip(horizon);
+            self.fast_forward(horizon);
             self.tick()?;
             if self.rollback.is_some() {
                 self.rollback_service()?;
@@ -1843,38 +1842,38 @@ impl Chip {
         Ok(())
     }
 
-    /// Translated compute window: runs every ready core through the
-    /// basic-block micro-op engine up to the next event boundary.
+    /// The fast path: jumps the clock over cycles whose outcome is
+    /// already fixed, so the tick loop only runs the cycles where
+    /// something interacts.
     ///
-    /// Fires under the same quiescence conditions as [`Chip::try_skip`]
-    /// — idle mesh, no deliverable message — plus tracing off (windows
-    /// emit no per-instruction events). The horizon is clamped below
-    /// the deadline and the next scheduled fault / periodic checkpoint,
-    /// so nothing the interpreter would have interleaved can land
-    /// inside a window. Each lane executes translated micro-ops with
-    /// `Core::step`'s exact cycle accounting and stops at the horizon
-    /// or at a side exit (send/recv/halt, crossbar-config store,
-    /// custom under an active fault plan, architectural fault); the
-    /// clock then jumps to the earliest stop, with waiting cores' poll
-    /// side effects batch-replayed exactly as in `try_skip`. A lane's
-    /// new `busy_until` is the start cycle of its next unexecuted
-    /// instruction, which is precisely where the tick loop would have
-    /// put it — so the interpreter resumes seamlessly and every
-    /// summary, snapshot, and error stays bit-identical to
-    /// [`Chip::run_reference`].
-    fn try_window(&mut self, deadline: u64) {
-        if !self.translate || self.live == 0 || self.tracer.is_enabled() || !self.mesh.idle() {
+    /// Fires only when the mesh is idle (no flit moves in the jumped
+    /// stretch) and no waiting core has a deliverable message (each
+    /// jumped tick would repeat the same failed `recv` poll). The
+    /// horizon is clamped below the deadline and the next scheduled
+    /// fault / periodic checkpoint, so nothing the interpreter would have
+    /// interleaved can land inside the jump.
+    ///
+    /// With translation on, tracing off and no `memory_pages` cap (whose
+    /// crossing cycle needs per-tick stores — see [`Chip::set_budget`]),
+    /// every ready core first runs through the basic-block micro-op
+    /// engine up to the horizon or a side exit (send/recv/halt,
+    /// crossbar-config store, custom under an active fault plan,
+    /// architectural fault). If any lane retired an instruction the jump
+    /// is a *window*: the clock moves to the fence before the earliest
+    /// side exit, counted as batched cycles. Otherwise the jump is a
+    /// *skip* — the case of a window in which no lane ran: the clock
+    /// moves to the cycle before the earliest wake-up (`next_wake`,
+    /// maintained by [`Chip::tick`]), counted as skipped cycles.
+    ///
+    /// A lane's new `busy_until` is the start cycle of its next
+    /// unexecuted instruction, which is precisely where the tick loop
+    /// would have put it, and the waiting cores' per-cycle poll side
+    /// effects are replayed in one batch — so every summary, snapshot,
+    /// and error stays bit-identical to [`Chip::run_reference`].
+    fn fast_forward(&mut self, deadline: u64) {
+        if !self.mesh.idle() {
             return;
         }
-        // A memory-page cap needs the exact tick each store lands on
-        // (windows allocate pages inline across a multi-cycle jump), so
-        // capped runs fall back to the interpreter — see
-        // [`Chip::set_budget`].
-        if self.budget.memory_pages.is_some() {
-            return;
-        }
-        // A deliverable message completes that core's recv on the very
-        // next tick — the window would jump over the delivery.
         for (i, src) in self.waiting_on.iter().enumerate() {
             if let Some(src) = src {
                 if self.mesh.has_delivered(TileId(i as u8), TileId(*src as u8)) {
@@ -1883,6 +1882,8 @@ impl Chip {
             }
         }
         let mut horizon = deadline.saturating_sub(1);
+        // Faults are applied at the top of their exact tick, and both
+        // engines refresh checkpoints at exactly the same cycle.
         if let Some(next_fault) = self
             .faults
             .as_ref()
@@ -1896,6 +1897,35 @@ impl Chip {
         if horizon <= self.cycle {
             return;
         }
+        if self.translate && !self.tracer.is_enabled() && self.budget.memory_pages.is_none() {
+            if let Some(fence) = self.run_lanes(horizon) {
+                if fence > self.cycle {
+                    self.tstats.windows += 1;
+                    self.tstats.batched_cycles += fence - self.cycle;
+                    self.jump_to(fence);
+                    // Busy-until values changed wholesale; let the next
+                    // tick recompute the wake heuristic from scratch.
+                    self.next_wake = 0;
+                    return;
+                }
+            }
+        }
+        // Every live core waits: leave that state to the deadlock check.
+        if self.next_wake == u64::MAX {
+            return;
+        }
+        let target = self.next_wake.saturating_sub(1).min(horizon);
+        if target > self.cycle {
+            self.skipped += target - self.cycle;
+            self.jump_to(target);
+        }
+    }
+
+    /// Runs every ready core through the translated engine up to
+    /// `horizon`. Returns the fence — the last cycle before any lane's
+    /// side exit — when at least one lane retired an instruction, `None`
+    /// when none did. Every lane's `busy_until` is exact either way.
+    fn run_lanes(&mut self, horizon: u64) -> Option<u64> {
         // Customs run inline only while no fault plan is installed: the
         // fault ladder (scrubs, demotions, rollback requests) belongs to
         // the interpreter.
@@ -1956,20 +1986,22 @@ impl Chip {
                 fence = fence.min(run.next_start.saturating_sub(1));
             }
         }
-        if !progressed || fence <= self.cycle {
-            // Nothing retired (or a side exit is due on the very next
-            // tick): leave the clock alone. The busy_until updates above
-            // are still exact.
-            return;
-        }
-        // Jump the clock, replaying waiting cores' per-cycle poll side
-        // effects in one batch (same bookkeeping as `try_skip`).
-        let polls = fence - self.cycle;
+        progressed.then_some(fence)
+    }
+
+    /// Moves the clock to `target`, replaying the waiting cores'
+    /// per-cycle poll side effects — instruction-fetch icache hits and
+    /// `recv_wait_cycles` — in one batch.
+    fn jump_to(&mut self, target: u64) {
+        let polls = target - self.cycle;
         if self.waiting > 0 {
             for i in 0..self.waiting_on.len() {
                 if self.waiting_on[i].is_none() {
                     continue;
                 }
+                // `waiting_on[i]` is only populated by `tick` for a
+                // loaded, non-halted core; anything else has no poll
+                // footprint to batch.
                 let Some(core) = self.cores[i].as_mut() else {
                     continue;
                 };
@@ -1978,19 +2010,14 @@ impl Chip {
                 self.mems[i].record_repeat_fetches(addr, words, polls);
             }
         }
-        self.mesh.fast_forward(fence);
-        self.tstats.windows += 1;
-        self.tstats.batched_cycles += polls;
-        self.cycle = fence;
-        // Busy-until values changed wholesale; let the next tick
-        // recompute the wake heuristic from scratch.
-        self.next_wake = 0;
+        self.mesh.fast_forward(target);
+        self.cycle = target;
     }
 
     /// Enables or disables the translated (basic-block micro-op) engine
     /// used by [`Chip::run`]. On by default; disabling forces every
-    /// instruction through the interpreter (the fast path then consists
-    /// of `try_skip` alone). Results are bit-identical either way.
+    /// instruction through the interpreter (the fast path then only
+    /// skips). Results are bit-identical either way.
     pub fn set_translation(&mut self, enabled: bool) {
         self.translate = enabled;
     }
@@ -2038,72 +2065,6 @@ impl Chip {
             .enumerate()
             .flat_map(|(tile, c)| c.covered_entries().map(move |pc| (tile, pc)))
             .collect()
-    }
-
-    /// Event-driven cycle skip.
-    ///
-    /// Fires only when (a) the mesh is idle — no flit moves during the
-    /// skipped window, (b) every non-waiting live core is busy past the
-    /// next cycle (`next_wake`, maintained by [`Chip::tick`]), and
-    /// (c) no waiting core has a deliverable message — so each skipped
-    /// tick would repeat the exact same failed `recv` poll. Under those
-    /// conditions every intervening tick is deterministic; the clock
-    /// jumps to the cycle before the earliest wake-up (clamped below the
-    /// deadline so timeouts fire on schedule) and the waiting cores'
-    /// per-cycle poll side effects — instruction-fetch icache hits and
-    /// `recv_wait_cycles` — are replayed in one batch, keeping every
-    /// statistic bit-identical to the naive loop.
-    fn try_skip(&mut self, deadline: u64) {
-        if self.next_wake <= self.cycle + 1 || self.next_wake == u64::MAX || !self.mesh.idle() {
-            return;
-        }
-        // A deliverable message completes that core's recv on the very
-        // next tick — nothing to skip.
-        for (i, src) in self.waiting_on.iter().enumerate() {
-            if let Some(src) = src {
-                if self.mesh.has_delivered(TileId(i as u8), TileId(*src as u8)) {
-                    return;
-                }
-            }
-        }
-        let mut target = (self.next_wake - 1).min(deadline.saturating_sub(1));
-        // Never jump over a scheduled fault: it must be applied at the
-        // top of its exact tick, in both engines.
-        if let Some(next_fault) = self
-            .faults
-            .as_ref()
-            .and_then(FaultRuntime::next_event_cycle)
-        {
-            target = target.min(next_fault.saturating_sub(1));
-        }
-        // Nor over a periodic checkpoint: both engines must refresh it at
-        // exactly the same cycle for resumed runs to stay bit-identical.
-        if let Some(rb) = self.rollback.as_ref() {
-            target = target.min(rb.next_checkpoint.saturating_sub(1));
-        }
-        if target <= self.cycle {
-            return;
-        }
-        let polls = target - self.cycle;
-        if self.waiting > 0 {
-            for i in 0..self.waiting_on.len() {
-                if self.waiting_on[i].is_none() {
-                    continue;
-                }
-                // `waiting_on[i]` is only populated by `tick` for a
-                // loaded, non-halted core; anything else has no poll
-                // footprint to batch.
-                let Some(core) = self.cores[i].as_mut() else {
-                    continue;
-                };
-                let (addr, words) = core.poll_footprint();
-                core.record_skipped_polls(polls);
-                self.mems[i].record_repeat_fetches(addr, words, polls);
-            }
-        }
-        self.mesh.fast_forward(target);
-        self.skipped += target - self.cycle;
-        self.cycle = target;
     }
 
     /// Cycles the fast path jumped over instead of ticking (diagnostic).

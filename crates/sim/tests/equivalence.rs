@@ -1,17 +1,18 @@
 //! Golden equivalence tests for the event-driven fast path.
 //!
-//! `Chip::run` skips cycles whenever the mesh is idle, no core is polling
-//! `recv`, and every live core is busy beyond the next cycle. These tests
-//! pin the invariant: over randomized multi-tile message-passing pipelines
-//! and fused custom-instruction workloads — with and without an active
-//! [`FaultPlan`] — the fast path must produce a `RunSummary` bit-identical
-//! to the naive cycle-by-cycle `Chip::run_reference` loop.
+//! `Chip::run` fast-forwards the clock — through translated windows or
+//! plain cycle skips — whenever the mesh is idle and no waiting core has
+//! a deliverable message. These tests pin the invariant: over randomized
+//! multi-tile message-passing pipelines and fused custom-instruction
+//! workloads — with and without an active [`FaultPlan`] — the fast path
+//! must produce a `RunSummary` bit-identical to the naive cycle-by-cycle
+//! `Chip::run_reference` loop.
 
 mod common;
 
 use common::{fused_chip, pipeline_chip};
 use stitch_isa::{Cond, ProgramBuilder, Reg};
-use stitch_sim::{Chip, ChipConfig, FaultPlan, FaultSpace, TileId};
+use stitch_sim::{Chip, ChipConfig, FaultPlan, FaultSpace, RunBudget, TileId, TraceConfig};
 
 const BUDGET: u64 = 50_000_000;
 
@@ -51,10 +52,10 @@ fn fast_path_matches_reference_on_fused_ci_workloads() {
 }
 
 /// The translated (basic-block micro-op) engine is on by default in
-/// `Chip::run`; with it forced off, `run` degrades to the pure
-/// interpreter + `try_skip` fast path. Both must agree bit-for-bit —
-/// and the translated side must actually have fired, otherwise this
-/// test is vacuous.
+/// `Chip::run`; with it forced off, `run`'s fast path only skips
+/// cycles and the interpreter executes every instruction. Both must
+/// agree bit-for-bit — and the translated side must actually have
+/// fired, otherwise this test is vacuous.
 #[test]
 fn translated_engine_fires_and_matches_interpreter() {
     for seed in 0..8u64 {
@@ -91,6 +92,47 @@ fn translated_engine_fires_and_matches_interpreter() {
             ts.cache_hits > ts.blocks_translated,
             "loops must mostly hit the translation cache (seed {seed}: {ts:?})"
         );
+    }
+}
+
+/// `Chip::run` has one fast-forward path with two outcomes: a window
+/// (translated lanes ran) or a skip (none could). Each way of turning
+/// the lanes off — translation off, a tracer, a `memory_pages` cap —
+/// must leave the skip firing, and the default run must take both.
+#[test]
+fn fast_forward_windows_and_skips_on_each_branch() {
+    type Setup = fn(&mut Chip);
+    let branches: [(&str, Setup, bool); 4] = [
+        ("translated", |_| {}, true),
+        ("interpreted", |c| c.set_translation(false), false),
+        ("traced", |c| c.set_trace(&TraceConfig::full(16)), false),
+        (
+            "memory-capped",
+            |c| {
+                c.set_budget(RunBudget {
+                    memory_pages: Some(u64::MAX),
+                    ..RunBudget::unlimited()
+                })
+            },
+            false,
+        ),
+    ];
+    for (name, setup, windows) in branches {
+        for seed in 0..4u64 {
+            let mut fast = pipeline_chip(0xE0_0100 + seed);
+            let mut naive = pipeline_chip(0xE0_0100 + seed);
+            setup(&mut fast);
+            setup(&mut naive);
+            let a = fast.run(BUDGET).expect("fast run terminates");
+            let b = naive
+                .run_reference(BUDGET)
+                .expect("reference run terminates");
+            assert_eq!(a, b, "{name}: summary diverges for seed {seed}");
+            assert_eq!(fast.cycle(), naive.cycle(), "{name}: clock, seed {seed}");
+            assert!(fast.skipped_cycles() > 0, "{name}: no skip (seed {seed})");
+            let ts = fast.translation_stats();
+            assert_eq!(ts.windows > 0, windows, "{name}: windows {ts:?}");
+        }
     }
 }
 

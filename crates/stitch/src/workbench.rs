@@ -1,7 +1,6 @@
 //! The experiment workbench: compile → stitch → simulate → measure.
 
 use crate::artifact::{app_input_key, decode_prepared, encode_prepared};
-use crate::manifest::SweepManifest;
 use std::collections::HashMap;
 use std::fmt;
 use std::num::NonZeroUsize;
@@ -46,7 +45,7 @@ pub enum Error {
     /// program failed a `stitch-verify` check. The report carries the
     /// individual diagnostics.
     Verify(Report),
-    /// Sweep resume-manifest failure (I/O or a corrupt manifest file).
+    /// Sweep resume-store failure (I/O while persisting a point).
     Resume(String),
 }
 
@@ -812,9 +811,10 @@ impl Workbench {
             .collect()
     }
 
-    /// Crash-safe, resumable sweep over a [`SweepManifest`].
+    /// Crash-safe, resumable sweep over an [`ArtifactStore`] of point
+    /// records.
     ///
-    /// Every point maps to a manifest key via `key_of`. Points whose key
+    /// Every point maps to a store key via `key_of`. Points whose key
     /// already holds a valid record are **not** simulated: `decode`
     /// rebuilds their result straight from the stored payload. Missing
     /// points run through the ordinary threaded sweep, and each one is
@@ -837,7 +837,7 @@ impl Workbench {
         points: &[SweepPoint],
         frames: u32,
         threads: usize,
-        manifest: &SweepManifest,
+        store: &ArtifactStore,
         key_of: impl Fn(SweepPoint) -> String,
         encode: impl Fn(&AppRun) -> Vec<u8> + Sync,
         decode: impl Fn(&[u8]) -> Option<T>,
@@ -847,14 +847,14 @@ impl Workbench {
         let mut out: Vec<Option<Result<T, Error>>> = (0..points.len()).map(|_| None).collect();
         let mut missing: Vec<(usize, SweepPoint)> = Vec::new();
         for (i, &p) in points.iter().enumerate() {
-            match manifest.load(&keys[i]).and_then(|bytes| decode(&bytes)) {
+            match store.load(&keys[i]).and_then(|bytes| decode(&bytes)) {
                 Some(t) => out[i] = Some(Ok(t)),
                 None => missing.push((i, p)),
             }
         }
         let todo: Vec<SweepPoint> = missing.iter().map(|&(_, p)| p).collect();
         let fresh = self.sweep_with(apps, &todo, frames, threads, |j, run| {
-            manifest
+            store
                 .store(&keys[missing[j].0], &encode(run))
                 .map_err(|e| Error::Resume(format!("store {}: {e}", keys[missing[j].0])))
         });

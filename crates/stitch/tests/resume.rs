@@ -1,11 +1,11 @@
 //! Crash-safe sweep resume: `Workbench::sweep_resumable` must skip
-//! points whose manifest records are valid, recompute points whose
+//! points whose stored records are valid, recompute points whose
 //! records are missing or corrupt, and reassemble identical results
 //! either way.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use stitch::{AppRun, Arch, Rec, RecView, SweepManifest, SweepPoint, Workbench};
+use stitch::{AppRun, Arch, ArtifactStore, Rec, RecView, SweepPoint, Workbench};
 use stitch_apps::App;
 
 /// Small per-point record: enough to prove bit-identical reassembly.
@@ -47,7 +47,7 @@ fn sweep_once(
     ws: &mut Workbench,
     apps: &[App],
     points: &[SweepPoint],
-    manifest: &SweepManifest,
+    store: &ArtifactStore,
 ) -> (Vec<Pt>, usize) {
     let computed = AtomicUsize::new(0);
     let out = ws.sweep_resumable(
@@ -55,7 +55,7 @@ fn sweep_once(
         points,
         2,
         2,
-        manifest,
+        store,
         key_of,
         |run| {
             computed.fetch_add(1, Ordering::Relaxed);
@@ -75,7 +75,7 @@ fn sweep_once(
 fn resumable_sweep_skips_completed_points_and_recovers_from_corruption() {
     let dir = std::env::temp_dir().join(format!("stitch-resume-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let manifest = SweepManifest::open(&dir).expect("open manifest");
+    let store = ArtifactStore::open(&dir).expect("open point store");
     let apps = App::all();
     let points = [
         SweepPoint {
@@ -89,50 +89,44 @@ fn resumable_sweep_skips_completed_points_and_recovers_from_corruption() {
     ];
     let mut ws = Workbench::new();
 
-    // Fresh manifest: everything computes, everything is persisted.
-    let (first, computed) = sweep_once(&mut ws, &apps, &points, &manifest);
+    // Fresh store: everything computes, everything is persisted.
+    let (first, computed) = sweep_once(&mut ws, &apps, &points, &store);
     assert_eq!(
         computed,
         points.len(),
         "fresh sweep must compute all points"
     );
-    assert_eq!(manifest.completed(), points.len());
+    assert_eq!(store.completed(), points.len());
 
-    // Complete manifest: nothing recomputes, results are bit-identical.
-    let (second, computed) = sweep_once(&mut ws, &apps, &points, &manifest);
-    assert_eq!(computed, 0, "complete manifest must skip every point");
+    // Complete store: nothing recomputes, results are bit-identical.
+    let (second, computed) = sweep_once(&mut ws, &apps, &points, &store);
+    assert_eq!(computed, 0, "complete store must skip every point");
     assert_eq!(second, first, "resumed results must be bit-identical");
 
     // One record lost (as after a kill): exactly that point recomputes,
     // and the result still matches.
     let lost = key_of(points[1]);
-    for e in std::fs::read_dir(&dir)
-        .expect("read manifest dir")
-        .flatten()
-    {
+    for e in std::fs::read_dir(&dir).expect("read point dir").flatten() {
         if e.file_name().to_string_lossy().contains("Stitch") {
             std::fs::remove_file(e.path()).expect("drop one point");
         }
     }
-    assert!(manifest.load(&lost).is_none(), "point file was not removed");
-    let (third, computed) = sweep_once(&mut ws, &apps, &points, &manifest);
+    assert!(store.load(&lost).is_none(), "point file was not removed");
+    let (third, computed) = sweep_once(&mut ws, &apps, &points, &store);
     assert_eq!(computed, 1, "only the lost point recomputes");
     assert_eq!(third, first);
 
     // One record corrupted: reads as absent, recomputes, heals.
-    for e in std::fs::read_dir(&dir)
-        .expect("read manifest dir")
-        .flatten()
-    {
+    for e in std::fs::read_dir(&dir).expect("read point dir").flatten() {
         if e.file_name().to_string_lossy().contains("Baseline") {
             std::fs::write(e.path(), b"garbage").expect("corrupt point");
         }
     }
-    let (fourth, computed) = sweep_once(&mut ws, &apps, &points, &manifest);
+    let (fourth, computed) = sweep_once(&mut ws, &apps, &points, &store);
     assert_eq!(computed, 1, "only the corrupt point recomputes");
     assert_eq!(fourth, first);
-    let (_, computed) = sweep_once(&mut ws, &apps, &points, &manifest);
-    assert_eq!(computed, 0, "healed manifest skips everything again");
+    let (_, computed) = sweep_once(&mut ws, &apps, &points, &store);
+    assert_eq!(computed, 0, "healed store skips everything again");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
