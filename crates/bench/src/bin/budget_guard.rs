@@ -19,8 +19,6 @@
 //! Run from the repo root: `cargo run --release -p stitch-bench --bin
 //! budget_guard [-- --tolerance 0.5]`.
 
-use std::time::Instant;
-
 use stitch::{Arch, JsonValue, RunBudget, Workbench, DEFAULT_FRAMES};
 use stitch_apps::App;
 
@@ -96,47 +94,6 @@ fn behavior_guard() {
     println!("budgets-enabled runs are bit-identical on every app");
 }
 
-fn wall_clock_guard(tolerance: f64) {
-    println!("{}", bench::header("Budgets-disabled overhead check"));
-    let committed = std::fs::read_to_string("BENCH_sim.json").expect("read BENCH_sim.json");
-    let committed = JsonValue::parse(&committed).expect("parse BENCH_sim.json");
-    let baseline = committed
-        .get("fig12_grid")
-        .and_then(|g| g.get("fast_threaded_wall_s"))
-        .and_then(JsonValue::as_f64)
-        .expect("BENCH_sim.json fig12_grid.fast_threaded_wall_s");
-
-    let apps = App::all();
-    let grid = Workbench::full_grid(&apps);
-    let threads = Workbench::default_threads();
-    let mut ws = Workbench::new();
-    ws.set_trace(None);
-    ws.prewarm(&apps);
-    let mut best = f64::INFINITY;
-    for i in 0..3 {
-        let t = Instant::now();
-        for r in ws.sweep(&apps, &grid, DEFAULT_FRAMES, threads) {
-            r.expect("untraced run");
-        }
-        let wall = t.elapsed().as_secs_f64();
-        println!("fig12 grid, budgets disabled, pass {i}: {wall:>6.2}s");
-        best = best.min(wall);
-    }
-    let overhead = best / baseline - 1.0;
-    println!(
-        "best {best:.2}s vs committed {baseline:.2}s: {:+.1}% (budget {:+.1}%)",
-        overhead * 100.0,
-        tolerance * 100.0
-    );
-    assert!(
-        overhead <= tolerance,
-        "budgets-disabled sweep regressed {:.1}% (> {:.1}% budget) vs BENCH_sim.json",
-        overhead * 100.0,
-        tolerance * 100.0
-    );
-    println!("budgets-disabled hot path is within budget");
-}
-
 fn main() {
     let mut tolerance = DEFAULT_TOLERANCE;
     let mut args = std::env::args().skip(1);
@@ -150,5 +107,5 @@ fn main() {
         }
     }
     behavior_guard();
-    wall_clock_guard(tolerance);
+    bench::fig12_overhead_guard("budgets-disabled", tolerance);
 }

@@ -27,7 +27,8 @@
 
 use bench::JsonObject;
 use stitch::{
-    Arch, ArtifactStore, FaultKind, FaultPlan, Rec, RecView, TileId, Workbench, DEFAULT_FRAMES,
+    Arch, ArtifactStore, DecodeError, FaultKind, FaultPlan, Rec, RecView, TileId, Workbench,
+    DEFAULT_FRAMES,
 };
 use stitch_apps::App;
 
@@ -80,10 +81,10 @@ fn encode_point(p: &PointRec) -> Vec<u8> {
     rec.into_bytes()
 }
 
-fn decode_point(bytes: &[u8]) -> Option<PointRec> {
+fn decode_point(bytes: &[u8]) -> Result<PointRec, DecodeError> {
     let mut v = RecView::new(bytes);
     if v.u8()? != REC_VERSION {
-        return None;
+        return Err(DecodeError::corrupt("point record version"));
     }
     let throughput_fps = v.f64()?;
     let accelerated = v.u64()?;
@@ -93,12 +94,12 @@ fn decode_point(bytes: &[u8]) -> Option<PointRec> {
     let rollbacks = v.u64()?;
     let targets = (0..v.u8()?)
         .map(|_| v.u8().map(TileId))
-        .collect::<Option<_>>()?;
-    let outputs = (0..v.u32()?).map(|_| v.words()).collect::<Option<_>>()?;
-    if !v.at_end() {
-        return None;
-    }
-    Some(PointRec {
+        .collect::<Result<_, _>>()?;
+    let outputs = (0..v.seq_len(4, "node output count")?)
+        .map(|_| v.words())
+        .collect::<Result<_, _>>()?;
+    v.finish()?;
+    Ok(PointRec {
         throughput_fps,
         accelerated,
         fused,
@@ -115,7 +116,7 @@ fn decode_point(bytes: &[u8]) -> Option<PointRec> {
 /// returned record only, so resumed and fresh sweeps emit identical
 /// bytes.
 fn point(store: &ArtifactStore, key: &str, compute: impl FnOnce() -> PointRec) -> PointRec {
-    if let Some(rec) = store.load(key).and_then(|b| decode_point(&b)) {
+    if let Some(rec) = store.load(key).and_then(|b| decode_point(&b).ok()) {
         return rec;
     }
     let rec = compute();

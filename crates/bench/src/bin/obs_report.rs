@@ -17,11 +17,8 @@
 //! `--tolerance` (default 0.02): the observability layer must be free
 //! when it is off.
 
-use std::time::Instant;
-
 use bench::JsonObject;
 use stitch::{to_chrome_trace, Arch, EventKind, JsonValue, TraceConfig, Workbench, DEFAULT_FRAMES};
-use stitch_apps::App;
 
 /// Simulated nanoseconds per cycle at the 200 MHz prototype clock.
 const NS_PER_CYCLE: u64 = 5;
@@ -43,7 +40,7 @@ fn main() {
     if args.iter().any(|a| a == "--check-overhead") {
         let tolerance = flag_value(&args, "--tolerance")
             .map_or(DEFAULT_TOLERANCE, |v| v.parse().expect("--tolerance value"));
-        check_overhead(tolerance);
+        bench::fig12_overhead_guard("tracing-disabled", tolerance);
         return;
     }
     let frames: u32 = flag_value(&args, "--frames")
@@ -212,49 +209,4 @@ fn trace_report(frames: u32) {
     println!("{}", "-".repeat(72));
     println!("all windowed totals reconcile exactly with RunSummary on every arch");
     println!("\nwrote BENCH_obs.json and {TRACE_PATH}");
-}
-
-/// Times the tracing-disabled Fig 12 sweep against the committed
-/// baseline in `BENCH_sim.json`.
-fn check_overhead(tolerance: f64) {
-    println!("{}", bench::header("Tracing-disabled overhead check"));
-    let committed = std::fs::read_to_string("BENCH_sim.json").expect("read BENCH_sim.json");
-    let committed = JsonValue::parse(&committed).expect("parse BENCH_sim.json");
-    let baseline = committed
-        .get("fig12_grid")
-        .and_then(|g| g.get("fast_threaded_wall_s"))
-        .and_then(JsonValue::as_f64)
-        .expect("BENCH_sim.json fig12_grid.fast_threaded_wall_s");
-
-    let apps = App::all();
-    let grid = Workbench::full_grid(&apps);
-    let threads = Workbench::default_threads();
-    let mut ws = Workbench::new();
-    ws.set_trace(None);
-    ws.prewarm(&apps);
-    // Best of three: the check cares about the engine's capability, not
-    // scheduler noise on a loaded host.
-    let mut best = f64::INFINITY;
-    for i in 0..3 {
-        let t = Instant::now();
-        for r in ws.sweep(&apps, &grid, DEFAULT_FRAMES, threads) {
-            r.expect("untraced run");
-        }
-        let wall = t.elapsed().as_secs_f64();
-        println!("fig12 grid, untraced sweep, pass {i}: {wall:>6.2}s");
-        best = best.min(wall);
-    }
-    let overhead = best / baseline - 1.0;
-    println!(
-        "best {best:.2}s vs committed {baseline:.2}s: {:+.1}% (budget {:+.1}%)",
-        overhead * 100.0,
-        tolerance * 100.0
-    );
-    assert!(
-        overhead <= tolerance,
-        "tracing-disabled sweep regressed {:.1}% (> {:.1}% budget) vs BENCH_sim.json",
-        overhead * 100.0,
-        tolerance * 100.0
-    );
-    println!("tracing-disabled hot path is within budget");
 }

@@ -18,7 +18,9 @@
 use std::time::Instant;
 
 use bench::JsonObject;
-use stitch::{ArtifactStore, Rec, RecView, SimEngine, SweepPoint, Workbench, DEFAULT_FRAMES};
+use stitch::{
+    ArtifactStore, DecodeError, Rec, RecView, SimEngine, SweepPoint, Workbench, DEFAULT_FRAMES,
+};
 use stitch_apps::App;
 use stitch_cache::fnv1a64;
 use stitch_kernels::all_kernels;
@@ -58,18 +60,16 @@ fn encode_ref_point(p: &RefPoint) -> Vec<u8> {
     rec.into_bytes()
 }
 
-fn decode_ref_point(bytes: &[u8]) -> Option<RefPoint> {
+fn decode_ref_point(bytes: &[u8]) -> Result<RefPoint, DecodeError> {
     let mut v = RecView::new(bytes);
     if v.u8()? != REC_VERSION {
-        return None;
+        return Err(DecodeError::corrupt("point record version"));
     }
     let wall_s = v.f64()?;
     let cycles = v.u64()?;
     let digest = v.u64()?;
-    if !v.at_end() {
-        return None;
-    }
-    Some(RefPoint {
+    v.finish()?;
+    Ok(RefPoint {
         wall_s,
         cycles,
         digest,
@@ -127,7 +127,7 @@ fn main() {
             "fig12-ref-{}-{:?}-f{DEFAULT_FRAMES}",
             apps[p.app].name, p.arch
         );
-        let point = match store.load(&key).and_then(|b| decode_ref_point(&b)) {
+        let point = match store.load(&key).and_then(|b| decode_ref_point(&b).ok()) {
             Some(point) => {
                 reused += 1;
                 point

@@ -12,16 +12,19 @@
 //! * **Deterministic bytes** — unordered containers (program symbols,
 //!   per-CI control maps) are serialized in sorted order, so the encoded
 //!   form doubles as a content-hash input.
-//! * **Decode never trusts** — every read is bounds-checked, every code
-//!   is re-validated through the owning type's own constructor/decoder
-//!   (`decode_program`, `ControlWord::unpack`, `AluOp::from_code`), and
-//!   any failure returns `None`: the artifact reads as absent and the
-//!   caller recomputes.
+//! * **Decode never trusts** — every read is bounds-checked, every
+//!   collection count is checked against the remaining input divided by
+//!   its element's minimum encoded size before anything is reserved for
+//!   it ([`RecView::seq_len`]), every code is re-validated through the
+//!   owning type's own constructor/decoder (`decode_program`,
+//!   `ControlWord::unpack`, `AluOp::from_code`), and any failure is a
+//!   typed [`DecodeError`]. At the store boundary an artifact that does
+//!   not decode reads as absent and the caller recomputes.
 //! * **Static strings intern** — a [`Diagnostic`]'s `code` is
 //!   `&'static str`; decoding matches it against the table of known
 //!   codes and treats unknown codes as corruption.
 
-use crate::rec::{Rec, RecView};
+use crate::{DecodeError, OrCorrupt, Rec, RecView};
 use stitch_isa::custom::{CiStage, PatchClass};
 use stitch_isa::program::DataSegment;
 use stitch_isa::{decode_program, encode_program, AluOp, CiDescriptor, CiId, CiTable, Program};
@@ -74,6 +77,10 @@ const KNOWN_CODES: &[&str] = &[
     "COMPILE-INVARIANT",
 ];
 
+/// Minimum encoded size of a [`Program`] (four empty sections), for
+/// sizing [`RecView::seq_len`] checks over program collections.
+pub const MIN_PROGRAM_BYTES: usize = 16;
+
 fn intern_code(code: &str) -> Option<&'static str> {
     KNOWN_CODES.iter().find(|&&k| k == code).copied()
 }
@@ -104,8 +111,8 @@ pub fn put_class(rec: &mut Rec, c: PatchClass) {
 }
 
 /// Decodes a patch class.
-pub fn get_class(v: &mut RecView<'_>) -> Option<PatchClass> {
-    class_from_code(v.u8()?)
+pub fn get_class(v: &mut RecView<'_>) -> Result<PatchClass, DecodeError> {
+    class_from_code(v.u8()?).or_corrupt("patch class")
 }
 
 /// Encodes a control word as `(class, packed bits)`. Returns `None` for
@@ -119,9 +126,9 @@ pub fn put_control(rec: &mut Rec, c: &ControlWord) -> Option<()> {
 
 /// Decodes a control word through [`ControlWord::unpack`]'s own
 /// validation.
-pub fn get_control(v: &mut RecView<'_>) -> Option<ControlWord> {
+pub fn get_control(v: &mut RecView<'_>) -> Result<ControlWord, DecodeError> {
     let class = get_class(v)?;
-    ControlWord::unpack(class, v.u32()?).ok()
+    ControlWord::unpack(class, v.u32()?).or_corrupt("control word")
 }
 
 /// Encodes a complete linked program: instruction words, data segments,
@@ -156,12 +163,10 @@ pub fn put_program(rec: &mut Rec, p: &Program) -> Option<()> {
 
 /// Decodes a program; instruction words go through [`decode_program`]'s
 /// full validation.
-pub fn get_program(v: &mut RecView<'_>) -> Option<Program> {
-    let instrs = decode_program(&v.words()?).ok()?;
-    let n_data = v.u32()? as usize;
-    if n_data > v.remaining() {
-        return None;
-    }
+pub fn get_program(v: &mut RecView<'_>) -> Result<Program, DecodeError> {
+    let instrs = decode_program(&v.words()?).or_corrupt("instruction words")?;
+    // base + word count
+    let n_data = v.seq_len(8, "data segment count")?;
     let mut data = Vec::with_capacity(n_data);
     for _ in 0..n_data {
         let base = v.u32()?;
@@ -170,21 +175,19 @@ pub fn get_program(v: &mut RecView<'_>) -> Option<Program> {
             words: v.words()?,
         });
     }
-    let n_ci = v.u32()? as usize;
-    if n_ci > v.remaining() {
-        return None;
-    }
+    // name + covers + stage count + one stage
+    let n_ci = v.seq_len(14, "custom instruction count")?;
     let mut ci_table = CiTable::new();
     for _ in 0..n_ci {
         let name = v.str()?.to_string();
         let covers = v.u32()?;
         let n_stages = v.u8()? as usize;
         if !(1..=2).contains(&n_stages) {
-            return None;
+            return Err(DecodeError::corrupt("custom instruction stage count"));
         }
         let mut stages = Vec::with_capacity(n_stages);
         for _ in 0..n_stages {
-            let class = class_from_code(v.u8()?)?;
+            let class = get_class(v)?;
             stages.push(CiStage::new(class, v.u32()?));
         }
         // `push` reassigns sequential ids, so decoding in file order
@@ -196,17 +199,15 @@ pub fn get_program(v: &mut RecView<'_>) -> Option<Program> {
             covers,
         });
     }
-    let n_sym = v.u32()? as usize;
-    if n_sym > v.remaining() {
-        return None;
-    }
+    // name + address
+    let n_sym = v.seq_len(8, "symbol count")?;
     let mut symbols = std::collections::HashMap::with_capacity(n_sym);
     for _ in 0..n_sym {
         let name = v.str()?.to_string();
         let addr = v.u32()?;
         symbols.insert(name, addr);
     }
-    Some(Program {
+    Ok(Program {
         instrs,
         data,
         ci_table,
@@ -253,27 +254,24 @@ pub fn put_report(rec: &mut Rec, r: &Report) {
 
 /// Decodes a verify report; diagnostic codes are interned against the
 /// static known-codes table.
-pub fn get_report(v: &mut RecView<'_>) -> Option<Report> {
-    let n = v.u32()? as usize;
-    if n > v.remaining() {
-        return None;
-    }
+pub fn get_report(v: &mut RecView<'_>) -> Result<Report, DecodeError> {
+    // severity + code + span tag + message
+    let n = v.seq_len(10, "diagnostic count")?;
     let mut report = Report::new();
     for _ in 0..n {
-        let severity = match v.u8()? {
-            0 => Severity::Warning,
-            1 => Severity::Error,
-            _ => return None,
+        let severity = match v.tag("severity")? {
+            false => Severity::Warning,
+            true => Severity::Error,
         };
-        let code = intern_code(v.str()?)?;
+        let code = intern_code(v.str()?).or_corrupt("diagnostic code")?;
         let span = match v.u8()? {
             0 => Span::None,
             1 => Span::Pc(v.u32()?),
             2 => Span::Tile(TileId(v.u8()?)),
-            3 => Span::Node(usize::try_from(v.u64()?).ok()?),
-            4 => Span::Ci(u16::try_from(v.u32()?).ok()?),
-            5 => Span::Kernel(usize::try_from(v.u64()?).ok()?),
-            _ => return None,
+            3 => Span::Node(usize::try_from(v.u64()?).or_corrupt("span node")?),
+            4 => Span::Ci(u16::try_from(v.u32()?).or_corrupt("span ci")?),
+            5 => Span::Kernel(usize::try_from(v.u64()?).or_corrupt("span kernel")?),
+            _ => return Err(DecodeError::corrupt("span tag")),
         };
         let message = v.str()?.to_string();
         report.push(Diagnostic {
@@ -283,7 +281,7 @@ pub fn get_report(v: &mut RecView<'_>) -> Option<Report> {
             message,
         });
     }
-    Some(report)
+    Ok(report)
 }
 
 fn put_operand(rec: &mut Rec, o: IseOperand) {
@@ -299,11 +297,11 @@ fn put_operand(rec: &mut Rec, o: IseOperand) {
     }
 }
 
-fn get_operand(v: &mut RecView<'_>) -> Option<IseOperand> {
-    Some(match v.u8()? {
-        0 => IseOperand::Node(usize::try_from(v.u64()?).ok()?),
-        1 => IseOperand::Ext(usize::try_from(v.u64()?).ok()?),
-        _ => return None,
+fn get_operand(v: &mut RecView<'_>) -> Result<IseOperand, DecodeError> {
+    Ok(match v.u8()? {
+        0 => IseOperand::Node(usize::try_from(v.u64()?).or_corrupt("operand index")?),
+        1 => IseOperand::Ext(usize::try_from(v.u64()?).or_corrupt("operand index")?),
+        _ => return Err(DecodeError::corrupt("operand tag")),
     })
 }
 
@@ -351,22 +349,24 @@ pub fn put_ise_check(rec: &mut Rec, c: &IseCheck) -> Option<()> {
     Some(())
 }
 
+/// Minimum encoded size of an [`IseCheck`]: name, ci, `n_ext`, node
+/// count, control count, four input slots, output count.
+pub const MIN_ISE_CHECK_BYTES: usize = 29;
+
 /// Decodes one custom instruction's equivalence obligation.
-pub fn get_ise_check(v: &mut RecView<'_>) -> Option<IseCheck> {
+pub fn get_ise_check(v: &mut RecView<'_>) -> Result<IseCheck, DecodeError> {
     let name = v.str()?.to_string();
-    let ci = u16::try_from(v.u32()?).ok()?;
-    let n_ext = usize::try_from(v.u64()?).ok()?;
-    let n_nodes = v.u32()? as usize;
-    if n_nodes > v.remaining() {
-        return None;
-    }
+    let ci = u16::try_from(v.u32()?).or_corrupt("ise ci id")?;
+    let n_ext = usize::try_from(v.u64()?).or_corrupt("ise n_ext")?;
+    // op tag + source count
+    let n_nodes = v.seq_len(2, "ise node count")?;
     let mut nodes = Vec::with_capacity(n_nodes);
     for _ in 0..n_nodes {
         let op = match v.u8()? {
-            0 => IseOp::Alu(AluOp::from_code(v.u8()?)?),
+            0 => IseOp::Alu(AluOp::from_code(v.u8()?).or_corrupt("ise alu op")?),
             1 => IseOp::Load,
             2 => IseOp::Store,
-            _ => return None,
+            _ => return Err(DecodeError::corrupt("ise op tag")),
         };
         let n_srcs = v.u8()? as usize;
         let mut srcs = Vec::with_capacity(n_srcs);
@@ -377,7 +377,7 @@ pub fn get_ise_check(v: &mut RecView<'_>) -> Option<IseCheck> {
     }
     let n_controls = v.u8()? as usize;
     if n_controls > 2 {
-        return None;
+        return Err(DecodeError::corrupt("ise control count"));
     }
     let mut controls = Vec::with_capacity(n_controls);
     for _ in 0..n_controls {
@@ -385,27 +385,23 @@ pub fn get_ise_check(v: &mut RecView<'_>) -> Option<IseCheck> {
     }
     let mut input_slots = [None; 4];
     for slot in &mut input_slots {
-        *slot = match v.u8()? {
-            0 => None,
-            1 => Some(usize::try_from(v.u64()?).ok()?),
-            _ => return None,
+        *slot = match v.tag("ise input slot")? {
+            false => None,
+            true => Some(usize::try_from(v.u64()?).or_corrupt("ise input slot")?),
         };
     }
-    let n_outputs = v.u32()? as usize;
-    if n_outputs > v.remaining() {
-        return None;
-    }
+    // node + port
+    let n_outputs = v.seq_len(9, "ise output count")?;
     let mut outputs = Vec::with_capacity(n_outputs);
     for _ in 0..n_outputs {
-        let node = usize::try_from(v.u64()?).ok()?;
-        let port = match v.u8()? {
-            0 => IseOut::Out0,
-            1 => IseOut::Out1,
-            _ => return None,
+        let node = usize::try_from(v.u64()?).or_corrupt("ise output node")?;
+        let port = match v.tag("ise output port")? {
+            false => IseOut::Out0,
+            true => IseOut::Out1,
         };
         outputs.push((node, port));
     }
-    Some(IseCheck {
+    Ok(IseCheck {
         name,
         ci,
         subgraph: IseSubgraph { nodes, n_ext },
@@ -444,8 +440,62 @@ mod tests {
         let bytes = rec.into_bytes();
         let mut v = RecView::new(&bytes);
         let q = get_program(&mut v).expect("decode");
-        assert!(v.at_end());
+        assert_eq!(v.finish(), Ok(()));
         assert_eq!(p, q);
+    }
+
+    /// A program section count that fits the remaining *bytes* but not
+    /// the remaining *elements* is rejected before anything is reserved.
+    #[test]
+    fn program_counts_are_checked_against_element_size() {
+        let mut rec = Rec::new();
+        rec.words(&[]);
+        rec.u32(3); // three data segments of >= 8 bytes each ...
+        rec.raw(&[0; 20]); // ... cannot fit in 20 bytes
+        let bytes = rec.into_bytes();
+        assert_eq!(
+            get_program(&mut RecView::new(&bytes)),
+            Err(DecodeError::corrupt("data segment count"))
+        );
+        let mut rec = Rec::new();
+        put_program(&mut rec, &Program::default()).expect("encode");
+        let mut bytes = rec.into_bytes();
+        let n = bytes.len();
+        bytes[n - 4..].copy_from_slice(&2u32.to_le_bytes()); // symbol count
+        bytes.extend_from_slice(&[0; 15]); // two symbols need >= 16
+        assert_eq!(
+            get_program(&mut RecView::new(&bytes)),
+            Err(DecodeError::corrupt("symbol count"))
+        );
+    }
+
+    #[test]
+    fn ise_check_counts_are_checked_against_element_size() {
+        let mut rec = Rec::new();
+        rec.str("ci");
+        rec.u32(0);
+        rec.u64(2);
+        rec.u32(4); // four nodes of >= 2 bytes each cannot fit in 7
+        rec.raw(&[0; 7]);
+        let bytes = rec.into_bytes();
+        assert_eq!(
+            get_ise_check(&mut RecView::new(&bytes)),
+            Err(DecodeError::corrupt("ise node count"))
+        );
+        let mut rec = Rec::new();
+        rec.str("ci");
+        rec.u32(0);
+        rec.u64(2);
+        rec.u32(0); // no nodes
+        rec.u8(0); // no controls
+        rec.raw(&[0; 4]); // four empty input slots
+        rec.u32(2); // two outputs of 9 bytes cannot fit in 17
+        rec.raw(&[0; 17]);
+        let bytes = rec.into_bytes();
+        assert_eq!(
+            get_ise_check(&mut RecView::new(&bytes)),
+            Err(DecodeError::corrupt("ise output count"))
+        );
     }
 
     #[test]
@@ -496,7 +546,10 @@ mod tests {
         rec.u8(0);
         rec.str("msg");
         let bytes = rec.into_bytes();
-        assert_eq!(get_report(&mut RecView::new(&bytes)), None);
+        assert_eq!(
+            get_report(&mut RecView::new(&bytes)),
+            Err(DecodeError::corrupt("diagnostic code"))
+        );
     }
 
     #[test]

@@ -26,15 +26,16 @@
 //!
 //! The crate sits below the compiler and workbench (it depends only on
 //! `stitch-isa`/`-patch`/`-noc`/`-verify`), so both can persist and
-//! reload their artifacts without dependency cycles. The shared
-//! [`Rec`]/[`RecView`] record codec lives here too; the `stitch` crate
-//! re-exports it.
+//! reload their artifacts without dependency cycles. Every byte it
+//! reads or writes goes through the workspace's one record codec,
+//! `stitch_isa::rec` ([`Rec`]/[`RecView`], typed [`DecodeError`]s),
+//! re-exported here and by the `stitch` crate; the chip snapshot uses
+//! the same codec.
 
 pub mod codec;
-pub mod rec;
 pub mod sha256;
 pub mod store;
 
-pub use rec::{fnv1a64, Rec, RecView};
 pub use sha256::{sha256, sha256_hex, Sha256};
+pub use stitch_isa::rec::{fnv1a64, DecodeError, OrCorrupt, Rec, RecView};
 pub use store::ArtifactStore;

@@ -21,7 +21,7 @@
 //! `stitch_verify::VERIFIER_VERSION`), so any mutated input — or a
 //! verifier upgrade — misses the cache by construction.
 
-use crate::rec::{fnv1a64, Rec, RecView};
+use crate::{fnv1a64, DecodeError, Rec, RecView};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -117,20 +117,7 @@ impl ArtifactStore {
 
     fn load_inner(&self, key: &str) -> Option<Vec<u8>> {
         let bytes = fs::read(self.path_for(key)).ok()?;
-        let mut v = RecView::new(&bytes);
-        if v.bytes(MAGIC.len())? != MAGIC {
-            return None;
-        }
-        let stored_key = v.str()?;
-        if stored_key != key {
-            return None;
-        }
-        let payload = v.blob()?;
-        let sum = v.u64()?;
-        if !v.at_end() || sum != fnv1a64(&bytes[..bytes.len() - 8]) {
-            return None;
-        }
-        Some(payload.to_vec())
+        Some(payload_of(&bytes, key).ok()?.to_vec())
     }
 
     /// Atomically records `payload` as the artifact for `key`: the bytes
@@ -179,6 +166,25 @@ impl ArtifactStore {
         }
         Ok(())
     }
+}
+
+/// Checks an artifact file's framing — magic, echoed key, checksum,
+/// nothing trailing — and returns its payload.
+fn payload_of<'a>(bytes: &'a [u8], key: &str) -> Result<&'a [u8], DecodeError> {
+    let mut v = RecView::new(bytes);
+    if v.bytes(MAGIC.len())? != MAGIC {
+        return Err(DecodeError::corrupt("file magic"));
+    }
+    if v.str()? != key {
+        return Err(DecodeError::corrupt("echoed key"));
+    }
+    let payload = v.blob()?;
+    let sum = v.u64()?;
+    v.finish()?;
+    if sum != fnv1a64(&bytes[..bytes.len() - 8]) {
+        return Err(DecodeError::corrupt("checksum"));
+    }
+    Ok(payload)
 }
 
 #[cfg(test)]

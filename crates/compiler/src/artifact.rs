@@ -16,8 +16,9 @@
 //!
 //! Both keys fold in [`VERIFIER_VERSION`], so upgrading the static
 //! analyses retires every stored verdict at once. Decoding never
-//! trusts: any malformed byte reads as absent and the caller falls back
-//! to the live compile + verify path.
+//! trusts: the `get_*` decoders return a typed [`DecodeError`] for any
+//! malformed byte, and at the store boundary such an artifact reads as
+//! absent and the caller falls back to the live compile + verify path.
 
 use crate::driver::{AcceleratedKernel, KernelVariants};
 use crate::mapper::PatchConfig;
@@ -25,9 +26,9 @@ use crate::stitcher::{GrantedAccel, StitchPlan};
 use crate::verify::{seed_verify_memo_keyed, verify_kernel_keyed, verify_kernel_uncached};
 use stitch_cache::codec::{
     get_class, get_control, get_ise_check, get_program, get_report, put_class, put_control,
-    put_ise_check, put_program, put_report,
+    put_ise_check, put_program, put_report, MIN_ISE_CHECK_BYTES, MIN_PROGRAM_BYTES,
 };
-use stitch_cache::{ArtifactStore, Rec, RecView, Sha256};
+use stitch_cache::{ArtifactStore, DecodeError, OrCorrupt, Rec, RecView, Sha256};
 use stitch_noc::TileId;
 use stitch_verify::{Report, VERIFIER_VERSION};
 
@@ -48,12 +49,12 @@ pub fn put_patch_config(rec: &mut Rec, c: PatchConfig) {
 }
 
 /// Decodes a patch configuration.
-pub fn get_patch_config(v: &mut RecView<'_>) -> Option<PatchConfig> {
-    Some(match v.u8()? {
+pub fn get_patch_config(v: &mut RecView<'_>) -> Result<PatchConfig, DecodeError> {
+    Ok(match v.u8()? {
         0 => PatchConfig::Single(get_class(v)?),
         1 => PatchConfig::Pair(get_class(v)?, get_class(v)?),
         2 => PatchConfig::Locus,
-        _ => return None,
+        _ => return Err(DecodeError::corrupt("patch config")),
     })
 }
 
@@ -81,20 +82,22 @@ pub fn put_accelerated(rec: &mut Rec, a: &AcceleratedKernel) -> Option<()> {
     Some(())
 }
 
+/// Minimum encoded size of an [`AcceleratedKernel`]: config, program,
+/// CI count, `custom_count`, cycles, check count.
+const MIN_ACCELERATED_BYTES: usize = 1 + MIN_PROGRAM_BYTES + 4 + 8 + 8 + 4;
+
 /// Decodes one accelerated variant.
-pub fn get_accelerated(v: &mut RecView<'_>) -> Option<AcceleratedKernel> {
+pub fn get_accelerated(v: &mut RecView<'_>) -> Result<AcceleratedKernel, DecodeError> {
     let config = get_patch_config(v)?;
     let program = get_program(v)?;
-    let n_cis = v.u32()? as usize;
-    if n_cis > v.remaining() {
-        return None;
-    }
+    // id + control count
+    let n_cis = v.seq_len(5, "ci control count")?;
     let mut ci_controls = std::collections::HashMap::with_capacity(n_cis);
     for _ in 0..n_cis {
-        let id = u16::try_from(v.u32()?).ok()?;
+        let id = u16::try_from(v.u32()?).or_corrupt("ci id")?;
         let n = v.u8()? as usize;
         if n > 2 {
-            return None;
+            return Err(DecodeError::corrupt("ci control word count"));
         }
         let mut controls = Vec::with_capacity(n);
         for _ in 0..n {
@@ -102,17 +105,14 @@ pub fn get_accelerated(v: &mut RecView<'_>) -> Option<AcceleratedKernel> {
         }
         ci_controls.insert(id, controls);
     }
-    let custom_count = usize::try_from(v.u64()?).ok()?;
+    let custom_count = usize::try_from(v.u64()?).or_corrupt("custom count")?;
     let cycles = v.u64()?;
-    let n_checks = v.u32()? as usize;
-    if n_checks > v.remaining() {
-        return None;
-    }
+    let n_checks = v.seq_len(MIN_ISE_CHECK_BYTES, "ise check count")?;
     let mut ise_checks = Vec::with_capacity(n_checks);
     for _ in 0..n_checks {
         ise_checks.push(get_ise_check(v)?);
     }
-    Some(AcceleratedKernel {
+    Ok(AcceleratedKernel {
         config,
         program,
         ci_controls,
@@ -135,19 +135,16 @@ pub fn put_kernel_variants(rec: &mut Rec, kv: &KernelVariants) -> Option<()> {
 }
 
 /// Decodes a full kernel-variants bundle.
-pub fn get_kernel_variants(v: &mut RecView<'_>) -> Option<KernelVariants> {
+pub fn get_kernel_variants(v: &mut RecView<'_>) -> Result<KernelVariants, DecodeError> {
     let name = v.str()?.to_string();
     let baseline = get_program(v)?;
     let baseline_cycles = v.u64()?;
-    let n = v.u32()? as usize;
-    if n > v.remaining() {
-        return None;
-    }
+    let n = v.seq_len(MIN_ACCELERATED_BYTES, "variant count")?;
     let mut variants = Vec::with_capacity(n);
     for _ in 0..n {
         variants.push(get_accelerated(v)?);
     }
-    Some(KernelVariants {
+    Ok(KernelVariants {
         name,
         baseline,
         baseline_cycles,
@@ -191,29 +188,19 @@ pub fn put_stitch_plan(rec: &mut Rec, plan: &StitchPlan) {
 }
 
 /// Decodes a stitch plan.
-pub fn get_stitch_plan(v: &mut RecView<'_>) -> Option<StitchPlan> {
-    let n_tiles = v.u32()? as usize;
-    if n_tiles > v.remaining() {
-        return None;
-    }
-    let mut tiles = Vec::with_capacity(n_tiles);
-    for _ in 0..n_tiles {
-        tiles.push(TileId(v.u8()?));
-    }
-    let n_accel = v.u32()? as usize;
-    if n_accel > v.remaining() {
-        return None;
-    }
+pub fn get_stitch_plan(v: &mut RecView<'_>) -> Result<StitchPlan, DecodeError> {
+    let n_tiles = v.seq_len(1, "plan tile count")?;
+    let tiles = v.bytes(n_tiles)?.iter().map(|&t| TileId(t)).collect();
+    let n_accel = v.seq_len(1, "plan grant count")?;
     let mut accel = Vec::with_capacity(n_accel);
     for _ in 0..n_accel {
-        accel.push(match v.u8()? {
-            0 => None,
-            1 => {
+        accel.push(match v.tag("plan grant presence")? {
+            false => None,
+            true => {
                 let config = get_patch_config(v)?;
-                let partner = match v.u8()? {
-                    0 => None,
-                    1 => Some(TileId(v.u8()?)),
-                    _ => return None,
+                let partner = match v.tag("plan partner presence")? {
+                    false => None,
+                    true => Some(TileId(v.u8()?)),
                 };
                 let hops = v.u32()?;
                 Some(GrantedAccel {
@@ -222,26 +209,19 @@ pub fn get_stitch_plan(v: &mut RecView<'_>) -> Option<StitchPlan> {
                     hops,
                 })
             }
-            _ => return None,
         });
     }
-    let n_circuits = v.u32()? as usize;
-    if n_circuits > v.remaining() {
-        return None;
-    }
+    let n_circuits = v.seq_len(2, "plan circuit count")?;
     let mut circuits = Vec::with_capacity(n_circuits);
     for _ in 0..n_circuits {
         circuits.push((TileId(v.u8()?), TileId(v.u8()?)));
     }
-    let n_log = v.u32()? as usize;
-    if n_log > v.remaining() {
-        return None;
-    }
+    let n_log = v.seq_len(4, "plan log count")?;
     let mut log = Vec::with_capacity(n_log);
     for _ in 0..n_log {
         log.push(v.str()?.to_string());
     }
-    Some(StitchPlan {
+    Ok(StitchPlan {
         tiles,
         accel,
         circuits,
@@ -265,13 +245,15 @@ pub fn encode_kernel_artifact(kv: &KernelVariants, report: &Report) -> Option<Ve
 /// artifact reads as absent and the caller compiles + verifies live.
 #[must_use]
 pub fn decode_kernel_artifact(bytes: &[u8]) -> Option<(KernelVariants, Report)> {
+    get_kernel_artifact(bytes).ok()
+}
+
+fn get_kernel_artifact(bytes: &[u8]) -> Result<(KernelVariants, Report), DecodeError> {
     let mut v = RecView::new(bytes);
     let kv = get_kernel_variants(&mut v)?;
     let report = get_report(&mut v)?;
-    if !v.at_end() {
-        return None;
-    }
-    Some((kv, report))
+    v.finish()?;
+    Ok((kv, report))
 }
 
 /// Order-stable rendering of an [`AcceleratedKernel`] for equality
@@ -369,11 +351,9 @@ pub fn verify_kernel_stored(store: &ArtifactStore, kv: &KernelVariants) -> Repor
     };
     if let Some(payload) = store.load(&key) {
         let mut v = RecView::new(&payload);
-        if let Some(report) = get_report(&mut v) {
-            if v.at_end() {
-                seed_verify_memo_keyed(key, report.clone());
-                return report;
-            }
+        if let (Ok(report), Ok(())) = (get_report(&mut v), v.finish()) {
+            seed_verify_memo_keyed(key, report.clone());
+            return report;
         }
     }
     let report = verify_kernel_keyed(kv, &key);
@@ -417,6 +397,16 @@ mod tests {
         let (kv2, report2) = decode_kernel_artifact(&bytes).expect("decode");
         assert_eq!(variants_fingerprint(&kv), variants_fingerprint(&kv2));
         assert_eq!(report, report2);
+    }
+
+    /// Pins the artifact layout: decoding and re-encoding a compiled
+    /// kernel's artifact reproduces its bytes exactly.
+    #[test]
+    fn kernel_artifact_re_encodes_byte_for_byte() {
+        let kv = sample_variants();
+        let bytes = encode_kernel_artifact(&kv, &verify_kernel(&kv)).expect("encode");
+        let (kv2, report2) = decode_kernel_artifact(&bytes).expect("decode");
+        assert_eq!(encode_kernel_artifact(&kv2, &report2), Some(bytes));
     }
 
     /// The verify memo keys by structure, not by `Debug` text: a decoded
@@ -478,8 +468,42 @@ mod tests {
         let bytes = rec.into_bytes();
         let mut v = RecView::new(&bytes);
         let plan2 = get_stitch_plan(&mut v).expect("decode");
-        assert!(v.at_end());
+        assert_eq!(v.finish(), Ok(()));
         assert_eq!(format!("{plan:?}"), format!("{plan2:?}"));
+    }
+
+    /// Counts that fit the remaining *bytes* but not the remaining
+    /// *elements* are rejected before anything is reserved for them.
+    #[test]
+    fn counts_are_checked_against_element_size() {
+        // Two accelerated variants need >= 82 bytes; 81 remain.
+        let mut rec = Rec::new();
+        rec.str("k");
+        put_program(&mut rec, &stitch_isa::Program::default()).expect("encode");
+        rec.u64(0);
+        rec.u32(2);
+        rec.raw(&[0; 81]);
+        let bytes = rec.into_bytes();
+        let got = get_kernel_variants(&mut RecView::new(&bytes)).map(|_| ());
+        assert_eq!(got, Err(DecodeError::corrupt("variant count")));
+        // Three CI control entries need >= 15 bytes; 14 remain.
+        let mut rec = Rec::new();
+        put_patch_config(&mut rec, PatchConfig::Locus);
+        put_program(&mut rec, &stitch_isa::Program::default()).expect("encode");
+        rec.u32(3);
+        rec.raw(&[0; 14]);
+        let bytes = rec.into_bytes();
+        let got = get_accelerated(&mut RecView::new(&bytes)).map(|_| ());
+        assert_eq!(got, Err(DecodeError::corrupt("ci control count")));
+        // Four circuits need >= 8 bytes; 7 remain.
+        let mut rec = Rec::new();
+        rec.u32(0);
+        rec.u32(0);
+        rec.u32(4);
+        rec.raw(&[0; 7]);
+        let bytes = rec.into_bytes();
+        let got = get_stitch_plan(&mut RecView::new(&bytes)).map(|_| ());
+        assert_eq!(got, Err(DecodeError::corrupt("plan circuit count")));
     }
 
     /// Mutation-kill: any change to a compile input — program bytes,

@@ -12,7 +12,10 @@
 //!   programs can round-trip through machine code;
 //! - [`program`] — label-based [`program::ProgramBuilder`] plus the linked
 //!   [`program::Program`] form consumed by the simulator;
-//! - [`asm`] — a small text assembler for the same mnemonics.
+//! - [`asm`] — a small text assembler for the same mnemonics;
+//! - [`rec`] — the little-endian record codec every binary artifact of
+//!   the workspace (store files, verified artifacts, sweep points, chip
+//!   snapshots) is written and read with, with typed decode errors.
 //!
 //! Operations are classified into the paper's four groups via
 //! [`op::OpClass`]: arithmetic/logic (`A`), shift (`S`), multiply (`M`) and
@@ -41,6 +44,7 @@ pub mod encode;
 pub mod instr;
 pub mod op;
 pub mod program;
+pub mod rec;
 pub mod reg;
 pub mod uop;
 
@@ -49,6 +53,7 @@ pub use encode::{decode, decode_program, encode, encode_program};
 pub use instr::{Cond, Instr, Operand, Width};
 pub use op::{AluOp, OpClass};
 pub use program::{Program, ProgramBuilder};
+pub use rec::{fnv1a64, DecodeError, OrCorrupt, Rec, RecView};
 pub use reg::Reg;
 pub use uop::{translate_block, BlockExit, MicroBlock, UOp, UOpSlot};
 

@@ -11,18 +11,21 @@
 //! deliberately excluded: a snapshot restores into a chip that has the
 //! same programs loaded, which [`crate::Chip::restore`] validates.
 //!
-//! The on-disk format is hand-rolled (no serde): an 8-byte magic, a
-//! version word, the mesh topology, then the state in a fixed field
-//! order, all little-endian. Decoding is total — truncated, oversized,
-//! or corrupt inputs surface as a typed [`SnapshotError`], never a panic
-//! — and every collection length is validated against the remaining
-//! input before allocation.
+//! The on-disk format is written with the workspace's one record codec,
+//! [`stitch_isa::rec`] ([`Rec`]/[`RecView`]): an 8-byte magic, a version
+//! word, the mesh topology, then the state in a fixed field order, all
+//! little-endian. Decoding is total — truncated, oversized, or corrupt
+//! inputs surface as a typed [`SnapshotError`] (the codec's
+//! [`DecodeError`] mapped onto `Truncated`/`Corrupt`/`TrailingBytes`),
+//! never a panic — and every collection count is checked against the
+//! remaining input ([`RecView::seq_len`]) before allocation.
 
 use crate::faults::FaultStats;
 use crate::{TileId, Topology};
 use std::fmt;
 use stitch_cpu::{CoreSnapshot, CoreState, CoreStats};
 use stitch_fault::{FaultKind, FaultPlan};
+use stitch_isa::rec::{DecodeError, OrCorrupt, Rec, RecView};
 use stitch_mem::{
     CacheSnapshot, CacheStats, DramSnapshot, LineSnapshot, SpmSnapshot, TileMemorySnapshot,
     PAGE_SIZE,
@@ -123,6 +126,16 @@ impl From<MeshError> for SnapshotError {
     }
 }
 
+impl From<DecodeError> for SnapshotError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => SnapshotError::Truncated,
+            DecodeError::Corrupt { what } => SnapshotError::Corrupt { what },
+            DecodeError::TrailingBytes { extra } => SnapshotError::TrailingBytes { extra },
+        }
+    }
+}
+
 /// Snapshot of the fault runtime: the installed plan plus every piece of
 /// replay-visible state (the chip-managed rollback arming flag and the
 /// transient pending-mask queue are excluded — both are empty/derived at
@@ -190,51 +203,51 @@ impl ChipSnapshot {
     /// Serializes into the versioned binary format.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Vec::with_capacity(4096);
-        w.extend_from_slice(&SNAPSHOT_MAGIC);
-        put_u32(&mut w, SNAPSHOT_VERSION);
-        w.push(self.topo.width);
-        w.push(self.topo.height);
-        put_u64(&mut w, self.cycle);
-        put_u64(&mut w, self.xbar_errors);
-        put_u64(&mut w, self.next_wake);
-        put_u64(&mut w, self.skipped);
-        put_u32(&mut w, self.cores.len() as u32);
+        let mut w = Rec::new();
+        w.raw(&SNAPSHOT_MAGIC);
+        w.u32(SNAPSHOT_VERSION);
+        w.u8(self.topo.width);
+        w.u8(self.topo.height);
+        w.u64(self.cycle);
+        w.u64(self.xbar_errors);
+        w.u64(self.next_wake);
+        w.u64(self.skipped);
+        w.u32(self.cores.len() as u32);
         for core in &self.cores {
             match core {
-                None => w.push(0),
+                None => w.u8(0),
                 Some(c) => {
-                    w.push(1);
+                    w.u8(1);
                     put_core(&mut w, c);
                 }
             }
         }
-        put_u32(&mut w, self.mems.len() as u32);
+        w.u32(self.mems.len() as u32);
         for m in &self.mems {
             put_tile_memory(&mut w, m);
         }
-        put_u64_vec(&mut w, &self.busy_until);
-        put_u32(&mut w, self.waiting_on.len() as u32);
+        w.u64s(&self.busy_until);
+        w.u32(self.waiting_on.len() as u32);
         for slot in &self.waiting_on {
             match slot {
-                None => w.push(0),
+                None => w.u8(0),
                 Some(src) => {
-                    w.push(1);
-                    put_u32(&mut w, *src);
+                    w.u8(1);
+                    w.u32(*src);
                 }
             }
         }
-        put_u64_vec(&mut w, &self.activations);
+        w.u64s(&self.activations);
         put_mesh(&mut w, &self.mesh);
         put_patchnet(&mut w, &self.patchnet);
         match &self.faults {
-            None => w.push(0),
+            None => w.u8(0),
             Some(fr) => {
-                w.push(1);
+                w.u8(1);
                 put_fault_runtime(&mut w, fr);
             }
         }
-        w
+        w.into_bytes()
     }
 
     /// Parses the versioned binary format.
@@ -244,7 +257,7 @@ impl ChipSnapshot {
     /// Any [`SnapshotError`] decoding variant; never panics on malformed
     /// input.
     pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut d = Dec::new(bytes);
+        let mut d = RecView::new(bytes);
         if d.bytes(8)? != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic);
         }
@@ -273,7 +286,7 @@ impl ChipSnapshot {
         for _ in 0..n_mems {
             mems.push(get_tile_memory(&mut d)?);
         }
-        let busy_until = get_u64_vec(&mut d, "busy_until")?;
+        let busy_until = d.u64s()?;
         let n_waiting = d.seq_len(1, "waiting_on count")?;
         let mut waiting_on = Vec::with_capacity(n_waiting);
         for _ in 0..n_waiting {
@@ -282,7 +295,7 @@ impl ChipSnapshot {
                 true => Some(d.u32()?),
             });
         }
-        let activations = get_u64_vec(&mut d, "activations")?;
+        let activations = d.u64s()?;
         let mesh = get_mesh(&mut d)?;
         let patchnet = get_patchnet(&mut d)?;
         let faults = match d.tag("fault runtime presence")? {
@@ -309,43 +322,21 @@ impl ChipSnapshot {
 }
 
 // ---------------------------------------------------------------------
-// Little-endian writers.
+// Writers.
 
-fn put_u32(w: &mut Vec<u8>, v: u32) {
-    w.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(w: &mut Vec<u8>, v: u64) {
-    w.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64_vec(w: &mut Vec<u8>, v: &[u64]) {
-    put_u32(w, v.len() as u32);
-    for x in v {
-        put_u64(w, *x);
-    }
-}
-
-fn put_u32_vec(w: &mut Vec<u8>, v: &[u32]) {
-    put_u32(w, v.len() as u32);
-    for x in v {
-        put_u32(w, *x);
-    }
-}
-
-fn put_core(w: &mut Vec<u8>, c: &CoreSnapshot) {
+fn put_core(w: &mut Rec, c: &CoreSnapshot) {
     for r in &c.regs {
-        put_u32(w, *r);
+        w.u32(*r);
     }
-    put_u32(w, c.pc);
-    w.push(match c.state {
+    w.u32(c.pc);
+    w.u8(match c.state {
         CoreState::Running => 0,
         CoreState::Halted => 1,
     });
     put_core_stats(w, &c.stats);
 }
 
-fn put_core_stats(w: &mut Vec<u8>, s: &CoreStats) {
+fn put_core_stats(w: &mut Rec, s: &CoreStats) {
     for v in [
         s.cycles,
         s.instructions,
@@ -363,104 +354,100 @@ fn put_core_stats(w: &mut Vec<u8>, s: &CoreStats) {
         s.words_sent,
         s.words_received,
     ] {
-        put_u64(w, v);
+        w.u64(v);
     }
 }
 
-fn put_cache_stats(w: &mut Vec<u8>, s: &CacheStats) {
+fn put_cache_stats(w: &mut Rec, s: &CacheStats) {
     for v in [s.accesses, s.hits, s.misses, s.writebacks] {
-        put_u64(w, v);
+        w.u64(v);
     }
 }
 
-fn put_tile_memory(w: &mut Vec<u8>, m: &TileMemorySnapshot) {
+fn put_tile_memory(w: &mut Rec, m: &TileMemorySnapshot) {
     put_dram(w, &m.dram);
     put_cache(w, &m.icache);
     put_cache(w, &m.dcache);
     put_spm(w, &m.spm);
 }
 
-fn put_dram(w: &mut Vec<u8>, d: &DramSnapshot) {
-    put_u32(w, d.pages.len() as u32);
+fn put_dram(w: &mut Rec, d: &DramSnapshot) {
+    w.u32(d.pages.len() as u32);
     for (idx, page) in &d.pages {
-        put_u32(w, *idx);
-        w.extend_from_slice(&page[..]);
+        w.u32(*idx);
+        w.raw(&page[..]);
     }
 }
 
-fn put_cache(w: &mut Vec<u8>, c: &CacheSnapshot) {
-    put_u32(w, c.lines.len() as u32);
+fn put_cache(w: &mut Rec, c: &CacheSnapshot) {
+    w.u32(c.lines.len() as u32);
     for line in &c.lines {
-        w.push(u8::from(line.valid) | (u8::from(line.dirty) << 1));
-        put_u32(w, line.tag);
-        put_u64(w, line.lru);
+        w.u8(u8::from(line.valid) | (u8::from(line.dirty) << 1));
+        w.u32(line.tag);
+        w.u64(line.lru);
     }
     put_cache_stats(w, &c.stats);
-    put_u64(w, c.tick);
+    w.u64(c.tick);
 }
 
-fn put_spm(w: &mut Vec<u8>, s: &SpmSnapshot) {
-    put_u32(w, s.data.len() as u32);
-    w.extend_from_slice(&s.data);
-    put_u64(w, s.reads);
-    put_u64(w, s.writes);
+fn put_spm(w: &mut Rec, s: &SpmSnapshot) {
+    w.blob(&s.data);
+    w.u64(s.reads);
+    w.u64(s.writes);
 }
 
-fn put_flit(w: &mut Vec<u8>, f: &FlitSnapshot) {
-    w.push(f.dst.0);
-    w.push(f.src.0);
-    w.push(u8::from(f.is_head) | (u8::from(f.is_tail) << 1));
-    put_u32(w, f.word);
-    put_u64(w, f.msg_id);
-    put_u32(w, f.msg_len);
-    put_u64(w, f.injected_at);
-    put_u64(w, f.ready_at);
+fn put_flit(w: &mut Rec, f: &FlitSnapshot) {
+    w.u8(f.dst.0);
+    w.u8(f.src.0);
+    w.u8(u8::from(f.is_head) | (u8::from(f.is_tail) << 1));
+    w.u32(f.word);
+    w.u64(f.msg_id);
+    w.u32(f.msg_len);
+    w.u64(f.injected_at);
+    w.u64(f.ready_at);
 }
 
-fn put_flits(w: &mut Vec<u8>, flits: &[FlitSnapshot]) {
-    put_u32(w, flits.len() as u32);
+fn put_flits(w: &mut Rec, flits: &[FlitSnapshot]) {
+    w.u32(flits.len() as u32);
     for f in flits {
         put_flit(w, f);
     }
 }
 
-fn put_mesh(w: &mut Vec<u8>, m: &MeshSnapshot) {
-    put_u32(w, m.routers.len() as u32);
+fn put_mesh(w: &mut Rec, m: &MeshSnapshot) {
+    w.u32(m.routers.len() as u32);
     for r in &m.routers {
         for port in &r.inputs {
             put_flits(w, port);
         }
         for owner in &r.out_owner {
-            match owner {
-                None => w.push(0xFF),
-                Some(p) => w.push(*p),
-            }
+            w.u8(owner.unwrap_or(0xFF));
         }
-        w.extend_from_slice(&r.rr);
+        w.raw(&r.rr);
     }
-    put_u32(w, m.inject.len() as u32);
+    w.u32(m.inject.len() as u32);
     for tile in &m.inject {
-        put_u32(w, tile.len() as u32);
+        w.u32(tile.len() as u32);
         for packet in tile {
             put_flits(w, packet);
         }
     }
-    put_u32(w, m.assembling.len() as u32);
+    w.u32(m.assembling.len() as u32);
     for tile in &m.assembling {
-        put_u32(w, tile.len() as u32);
+        w.u32(tile.len() as u32);
         for asm in tile {
-            w.push(asm.src.0);
-            put_u64(w, asm.msg_id);
-            put_u32(w, asm.expected);
-            put_u32_vec(w, &asm.words);
+            w.u8(asm.src.0);
+            w.u64(asm.msg_id);
+            w.u32(asm.expected);
+            w.words(&asm.words);
         }
     }
-    put_u32(w, m.delivered.len() as u32);
+    w.u32(m.delivered.len() as u32);
     for tile in &m.delivered {
-        put_u32(w, tile.len() as u32);
+        w.u32(tile.len() as u32);
         for msg in tile {
-            w.push(msg.src.0);
-            put_u32_vec(w, &msg.words);
+            w.u8(msg.src.0);
+            w.words(&msg.words);
         }
     }
     for v in [
@@ -469,76 +456,76 @@ fn put_mesh(w: &mut Vec<u8>, m: &MeshSnapshot) {
         m.stats.flit_hops,
         m.stats.total_packet_latency,
     ] {
-        put_u64(w, v);
+        w.u64(v);
     }
-    put_u64(w, m.cycle);
-    put_u64(w, m.next_msg_id);
-    put_u32(w, m.link_down_until.len() as u32);
+    w.u64(m.cycle);
+    w.u64(m.next_msg_id);
+    w.u32(m.link_down_until.len() as u32);
     for dirs in &m.link_down_until {
         for v in dirs {
-            put_u64(w, *v);
+            w.u64(*v);
         }
     }
-    w.push(u8::from(m.any_link_faults));
-    put_u64(w, m.stalled_ticks);
+    w.u8(u8::from(m.any_link_faults));
+    w.u64(m.stalled_ticks);
 }
 
-fn put_patchnet(w: &mut Vec<u8>, p: &PatchNetSnapshot) {
-    put_u32_vec(w, &p.switches);
-    put_u32(w, p.circuits.len() as u32);
+fn put_patchnet(w: &mut Rec, p: &PatchNetSnapshot) {
+    w.words(&p.switches);
+    w.u32(p.circuits.len() as u32);
     for c in &p.circuits {
-        w.push(c.from.0);
-        w.push(c.to.0);
-        put_u32(w, c.tiles.len() as u32);
+        w.u8(c.from.0);
+        w.u8(c.to.0);
+        w.u32(c.tiles.len() as u32);
         for t in &c.tiles {
-            w.push(t.0);
+            w.u8(t.0);
         }
-        put_u32(w, c.hops);
+        w.u32(c.hops);
     }
 }
 
-fn put_fault_runtime(w: &mut Vec<u8>, fr: &FaultRuntimeSnapshot) {
-    put_u64(w, fr.plan.seed());
-    w.push(u8::from(fr.plan.degrade()));
-    put_u32(w, fr.plan.events().len() as u32);
+fn put_fault_runtime(w: &mut Rec, fr: &FaultRuntimeSnapshot) {
+    w.u64(fr.plan.seed());
+    w.u8(u8::from(fr.plan.degrade()));
+    w.u32(fr.plan.events().len() as u32);
     for ev in fr.plan.events() {
-        put_u64(w, ev.cycle);
+        w.u64(ev.cycle);
         match &ev.kind {
             FaultKind::PatchFail { tile, until } => {
-                w.push(0);
-                w.push(tile.0);
+                w.u8(0);
+                w.u8(tile.0);
                 put_opt_u64(w, *until);
             }
             FaultKind::SwitchFail { tile, until } => {
-                w.push(1);
-                w.push(tile.0);
+                w.u8(1);
+                w.u8(tile.0);
                 put_opt_u64(w, *until);
             }
             FaultKind::ConfigUpset { tile } => {
-                w.push(2);
-                w.push(tile.0);
+                w.u8(2);
+                w.u8(tile.0);
             }
             FaultKind::MeshLinkFail { tile, dir, until } => {
-                w.push(3);
-                w.push(tile.0);
-                w.push(dir.code() as u8);
+                w.u8(3);
+                w.u8(tile.0);
+                w.u8(dir.code() as u8);
                 put_opt_u64(w, *until);
             }
         }
     }
-    put_u64(w, fr.next);
-    put_u64_vec(w, &fr.patch_down_until);
-    put_u64_vec(w, &fr.switch_down_until);
-    put_u64_vec(w, &fr.patch_mask_until);
-    put_u64_vec(w, &fr.switch_mask_until);
-    put_u32(w, fr.config_upset.len() as u32);
+    w.u64(fr.next);
+    w.u64s(&fr.patch_down_until);
+    w.u64s(&fr.switch_down_until);
+    w.u64s(&fr.patch_mask_until);
+    w.u64s(&fr.switch_mask_until);
+    w.u32(fr.config_upset.len() as u32);
     for b in &fr.config_upset {
-        w.push(u8::from(*b));
+        w.u8(u8::from(*b));
     }
-    put_u32(w, fr.watchdog_tripped.len() as u32);
+    w.u32(fr.watchdog_tripped.len() as u32);
     for (tile, ci) in &fr.watchdog_tripped {
-        w.push(*tile);
-        w.extend_from_slice(&ci.to_le_bytes());
+        w.u8(*tile);
+        w.u16(*ci);
     }
     for v in [
         fr.stats.injected,
@@ -547,117 +534,32 @@ fn put_fault_runtime(w: &mut Vec<u8>, fr: &FaultRuntimeSnapshot) {
         fr.stats.scrubs,
         fr.stats.rollbacks,
     ] {
-        put_u64(w, v);
+        w.u64(v);
     }
 }
 
-fn put_opt_u64(w: &mut Vec<u8>, v: Option<u64>) {
+fn put_opt_u64(w: &mut Rec, v: Option<u64>) {
     match v {
-        None => w.push(0),
+        None => w.u8(0),
         Some(x) => {
-            w.push(1);
-            put_u64(w, x);
+            w.u8(1);
+            w.u64(x);
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Bounds-checked reader.
+// Readers.
 
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.remaining() < n {
-            return Err(SnapshotError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, SnapshotError> {
-        let b = self.bytes(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let b = self.bytes(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// Presence/boolean tag: strictly 0 or 1.
-    fn tag(&mut self, what: &'static str) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapshotError::Corrupt { what }),
-        }
-    }
-
-    /// Reads a collection length and validates it against the remaining
-    /// input (each element needs at least `min_elem` bytes), so corrupt
-    /// lengths cannot trigger huge allocations.
-    fn seq_len(&mut self, min_elem: usize, what: &'static str) -> Result<usize, SnapshotError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_elem.max(1)) > self.remaining() {
-            return Err(SnapshotError::Corrupt { what });
-        }
-        Ok(n)
-    }
-
-    fn finish(&self) -> Result<(), SnapshotError> {
-        if self.remaining() != 0 {
-            return Err(SnapshotError::TrailingBytes {
-                extra: self.remaining(),
-            });
-        }
-        Ok(())
-    }
-}
-
-fn get_u64_vec(d: &mut Dec<'_>, what: &'static str) -> Result<Vec<u64>, SnapshotError> {
-    let n = d.seq_len(8, what)?;
-    (0..n).map(|_| d.u64()).collect()
-}
-
-fn get_u32_vec(d: &mut Dec<'_>, what: &'static str) -> Result<Vec<u32>, SnapshotError> {
-    let n = d.seq_len(4, what)?;
-    (0..n).map(|_| d.u32()).collect()
-}
-
-fn get_core(d: &mut Dec<'_>) -> Result<CoreSnapshot, SnapshotError> {
+fn get_core(d: &mut RecView<'_>) -> Result<CoreSnapshot, DecodeError> {
     let mut regs = [0u32; 32];
     for r in &mut regs {
         *r = d.u32()?;
     }
     let pc = d.u32()?;
-    let state = match d.u8()? {
-        0 => CoreState::Running,
-        1 => CoreState::Halted,
-        _ => return Err(SnapshotError::Corrupt { what: "core state" }),
+    let state = match d.tag("core state")? {
+        false => CoreState::Running,
+        true => CoreState::Halted,
     };
     let stats = get_core_stats(d)?;
     Ok(CoreSnapshot {
@@ -668,7 +570,7 @@ fn get_core(d: &mut Dec<'_>) -> Result<CoreSnapshot, SnapshotError> {
     })
 }
 
-fn get_core_stats(d: &mut Dec<'_>) -> Result<CoreStats, SnapshotError> {
+fn get_core_stats(d: &mut RecView<'_>) -> Result<CoreStats, DecodeError> {
     Ok(CoreStats {
         cycles: d.u64()?,
         instructions: d.u64()?,
@@ -688,7 +590,7 @@ fn get_core_stats(d: &mut Dec<'_>) -> Result<CoreStats, SnapshotError> {
     })
 }
 
-fn get_cache_stats(d: &mut Dec<'_>) -> Result<CacheStats, SnapshotError> {
+fn get_cache_stats(d: &mut RecView<'_>) -> Result<CacheStats, DecodeError> {
     Ok(CacheStats {
         accesses: d.u64()?,
         hits: d.u64()?,
@@ -697,7 +599,7 @@ fn get_cache_stats(d: &mut Dec<'_>) -> Result<CacheStats, SnapshotError> {
     })
 }
 
-fn get_tile_memory(d: &mut Dec<'_>) -> Result<TileMemorySnapshot, SnapshotError> {
+fn get_tile_memory(d: &mut RecView<'_>) -> Result<TileMemorySnapshot, DecodeError> {
     Ok(TileMemorySnapshot {
         dram: get_dram(d)?,
         icache: get_cache(d)?,
@@ -706,7 +608,7 @@ fn get_tile_memory(d: &mut Dec<'_>) -> Result<TileMemorySnapshot, SnapshotError>
     })
 }
 
-fn get_dram(d: &mut Dec<'_>) -> Result<DramSnapshot, SnapshotError> {
+fn get_dram(d: &mut RecView<'_>) -> Result<DramSnapshot, DecodeError> {
     let n = d.seq_len(4 + PAGE_SIZE, "dram page count")?;
     let mut pages = Vec::with_capacity(n);
     for _ in 0..n {
@@ -718,19 +620,24 @@ fn get_dram(d: &mut Dec<'_>) -> Result<DramSnapshot, SnapshotError> {
     Ok(DramSnapshot { pages })
 }
 
-fn get_cache(d: &mut Dec<'_>) -> Result<CacheSnapshot, SnapshotError> {
+/// Two flag bits (bit 0, bit 1) packed in one byte; anything above is
+/// corruption.
+fn get_flags(d: &mut RecView<'_>, what: &'static str) -> Result<(bool, bool), DecodeError> {
+    let flags = d.u8()?;
+    if flags > 3 {
+        return Err(DecodeError::Corrupt { what });
+    }
+    Ok((flags & 1 != 0, flags & 2 != 0))
+}
+
+fn get_cache(d: &mut RecView<'_>) -> Result<CacheSnapshot, DecodeError> {
     let n = d.seq_len(13, "cache line count")?;
     let mut lines = Vec::with_capacity(n);
     for _ in 0..n {
-        let flags = d.u8()?;
-        if flags > 3 {
-            return Err(SnapshotError::Corrupt {
-                what: "cache line flags",
-            });
-        }
+        let (valid, dirty) = get_flags(d, "cache line flags")?;
         lines.push(LineSnapshot {
-            valid: flags & 1 != 0,
-            dirty: flags & 2 != 0,
+            valid,
+            dirty,
             tag: d.u32()?,
             lru: d.u64()?,
         });
@@ -742,28 +649,23 @@ fn get_cache(d: &mut Dec<'_>) -> Result<CacheSnapshot, SnapshotError> {
     })
 }
 
-fn get_spm(d: &mut Dec<'_>) -> Result<SpmSnapshot, SnapshotError> {
-    let n = d.seq_len(1, "spm size")?;
-    let data: Box<[u8]> = d.bytes(n)?.into();
+fn get_spm(d: &mut RecView<'_>) -> Result<SpmSnapshot, DecodeError> {
     Ok(SpmSnapshot {
-        data,
+        data: d.blob()?.into(),
         reads: d.u64()?,
         writes: d.u64()?,
     })
 }
 
-fn get_flit(d: &mut Dec<'_>) -> Result<FlitSnapshot, SnapshotError> {
+fn get_flit(d: &mut RecView<'_>) -> Result<FlitSnapshot, DecodeError> {
     let dst = TileId(d.u8()?);
     let src = TileId(d.u8()?);
-    let flags = d.u8()?;
-    if flags > 3 {
-        return Err(SnapshotError::Corrupt { what: "flit flags" });
-    }
+    let (is_head, is_tail) = get_flags(d, "flit flags")?;
     Ok(FlitSnapshot {
         dst,
         src,
-        is_head: flags & 1 != 0,
-        is_tail: flags & 2 != 0,
+        is_head,
+        is_tail,
         word: d.u32()?,
         msg_id: d.u64()?,
         msg_len: d.u32()?,
@@ -772,12 +674,12 @@ fn get_flit(d: &mut Dec<'_>) -> Result<FlitSnapshot, SnapshotError> {
     })
 }
 
-fn get_flits(d: &mut Dec<'_>) -> Result<Vec<FlitSnapshot>, SnapshotError> {
+fn get_flits(d: &mut RecView<'_>) -> Result<Vec<FlitSnapshot>, DecodeError> {
     let n = d.seq_len(34, "flit count")?;
     (0..n).map(|_| get_flit(d)).collect()
 }
 
-fn get_mesh(d: &mut Dec<'_>) -> Result<MeshSnapshot, SnapshotError> {
+fn get_mesh(d: &mut RecView<'_>) -> Result<MeshSnapshot, DecodeError> {
     let n_routers = d.seq_len(1, "router count")?;
     let mut routers = Vec::with_capacity(n_routers);
     for _ in 0..n_routers {
@@ -815,7 +717,7 @@ fn get_mesh(d: &mut Dec<'_>) -> Result<MeshSnapshot, SnapshotError> {
                 src: TileId(d.u8()?),
                 msg_id: d.u64()?,
                 expected: d.u32()?,
-                words: get_u32_vec(d, "reassembly words")?,
+                words: d.words()?,
             });
         }
         assembling.push(tile);
@@ -828,7 +730,7 @@ fn get_mesh(d: &mut Dec<'_>) -> Result<MeshSnapshot, SnapshotError> {
         for _ in 0..n_msgs {
             tile.push(Message {
                 src: TileId(d.u8()?),
-                words: get_u32_vec(d, "message words")?,
+                words: d.words()?,
             });
         }
         delivered.push(tile);
@@ -866,8 +768,8 @@ fn get_mesh(d: &mut Dec<'_>) -> Result<MeshSnapshot, SnapshotError> {
     })
 }
 
-fn get_patchnet(d: &mut Dec<'_>) -> Result<PatchNetSnapshot, SnapshotError> {
-    let switches = get_u32_vec(d, "switch config words")?;
+fn get_patchnet(d: &mut RecView<'_>) -> Result<PatchNetSnapshot, DecodeError> {
+    let switches = d.words()?;
     let n = d.seq_len(10, "circuit count")?;
     let mut circuits = Vec::with_capacity(n);
     for _ in 0..n {
@@ -885,7 +787,7 @@ fn get_patchnet(d: &mut Dec<'_>) -> Result<PatchNetSnapshot, SnapshotError> {
     Ok(PatchNetSnapshot { switches, circuits })
 }
 
-fn get_fault_runtime(d: &mut Dec<'_>) -> Result<FaultRuntimeSnapshot, SnapshotError> {
+fn get_fault_runtime(d: &mut RecView<'_>) -> Result<FaultRuntimeSnapshot, DecodeError> {
     let seed = d.u64()?;
     let degrade = d.tag("fault plan mode")?;
     let mut plan = FaultPlan::new(seed);
@@ -907,32 +809,22 @@ fn get_fault_runtime(d: &mut Dec<'_>) -> Result<FaultRuntimeSnapshot, SnapshotEr
             2 => FaultKind::ConfigUpset {
                 tile: TileId(d.u8()?),
             },
-            3 => {
-                let tile = TileId(d.u8()?);
-                let dir = *PortDir::ALL
-                    .get(d.u8()? as usize)
-                    .ok_or(SnapshotError::Corrupt {
-                        what: "link fault direction",
-                    })?;
-                FaultKind::MeshLinkFail {
-                    tile,
-                    dir,
-                    until: get_opt_u64(d)?,
-                }
-            }
-            _ => {
-                return Err(SnapshotError::Corrupt {
-                    what: "fault kind tag",
-                })
-            }
+            3 => FaultKind::MeshLinkFail {
+                tile: TileId(d.u8()?),
+                dir: *PortDir::ALL
+                    .get(usize::from(d.u8()?))
+                    .or_corrupt("link fault direction")?,
+                until: get_opt_u64(d)?,
+            },
+            _ => return Err(DecodeError::corrupt("fault kind tag")),
         };
         plan.push(cycle, kind);
     }
     let next = d.u64()?;
-    let patch_down_until = get_u64_vec(d, "patch_down_until")?;
-    let switch_down_until = get_u64_vec(d, "switch_down_until")?;
-    let patch_mask_until = get_u64_vec(d, "patch_mask_until")?;
-    let switch_mask_until = get_u64_vec(d, "switch_mask_until")?;
+    let patch_down_until = d.u64s()?;
+    let switch_down_until = d.u64s()?;
+    let patch_mask_until = d.u64s()?;
+    let switch_mask_until = d.u64s()?;
     let n_upsets = d.seq_len(1, "config upset count")?;
     let mut config_upset = Vec::with_capacity(n_upsets);
     for _ in 0..n_upsets {
@@ -963,7 +855,7 @@ fn get_fault_runtime(d: &mut Dec<'_>) -> Result<FaultRuntimeSnapshot, SnapshotEr
     })
 }
 
-fn get_opt_u64(d: &mut Dec<'_>) -> Result<Option<u64>, SnapshotError> {
+fn get_opt_u64(d: &mut RecView<'_>) -> Result<Option<u64>, DecodeError> {
     Ok(match d.tag("optional u64")? {
         false => None,
         true => Some(d.u64()?),
@@ -986,6 +878,16 @@ mod tests {
         let bytes = snap.encode();
         let back = ChipSnapshot::decode(&bytes).unwrap();
         assert_eq!(snap, back);
+    }
+
+    /// Pins the writer byte for byte: a committed fuzz-corpus snapshot
+    /// (a mid-run chip with dirty pages, flits in flight and a fault
+    /// plan) must re-encode to exactly the bytes it was decoded from.
+    #[test]
+    fn committed_snapshot_re_encodes_byte_for_byte() {
+        let bytes = include_bytes!("../../fuzz/corpus/snapshot/snap-ok-1.bin");
+        let snap = ChipSnapshot::decode(bytes).expect("committed snapshot decodes");
+        assert_eq!(snap.encode(), bytes.as_slice());
     }
 
     #[test]

@@ -13,13 +13,14 @@
 //!
 //! Decoding never trusts: every program re-validates through
 //! `decode_program`, every control word through `ControlWord::unpack`,
-//! and any malformed byte reads as absent — the workbench then falls
-//! back to the live pipeline, which is always correct.
+//! any malformed byte is a typed `DecodeError`, and such a bundle reads
+//! as absent — the workbench then falls back to the live pipeline,
+//! which is always correct.
 
 use crate::workbench::NodeLoad;
 use stitch_apps::App;
-use stitch_cache::codec::{get_program, get_report, put_program, put_report};
-use stitch_cache::{Rec, RecView, Sha256};
+use stitch_cache::codec::{get_program, get_report, put_program, put_report, MIN_PROGRAM_BYTES};
+use stitch_cache::{DecodeError, Rec, RecView, Sha256};
 use stitch_compiler::artifact::{
     get_accelerated, get_stitch_plan, put_accelerated, put_stitch_plan,
 };
@@ -112,35 +113,33 @@ pub(crate) fn encode_prepared(
 /// artifact reads as absent and the workbench re-runs the pipeline.
 #[must_use]
 pub(crate) fn decode_prepared(bytes: &[u8]) -> Option<(StitchPlan, Vec<NodeLoad>, Report)> {
+    get_prepared(bytes).ok()
+}
+
+fn get_prepared(bytes: &[u8]) -> Result<(StitchPlan, Vec<NodeLoad>, Report), DecodeError> {
     let mut v = RecView::new(bytes);
     let plan = get_stitch_plan(&mut v)?;
-    let n = v.u32()? as usize;
-    if n > v.remaining() {
-        return None;
-    }
+    // program + accel presence
+    let n = v.seq_len(MIN_PROGRAM_BYTES + 1, "node load count")?;
     let mut loads = Vec::with_capacity(n);
     for _ in 0..n {
         let program = get_program(&mut v)?;
-        let accel = match v.u8()? {
-            0 => None,
-            1 => {
+        let accel = match v.tag("accel presence")? {
+            false => None,
+            true => {
                 let a = get_accelerated(&mut v)?;
-                let partner = match v.u8()? {
-                    0 => None,
-                    1 => Some(TileId(v.u8()?)),
-                    _ => return None,
+                let partner = match v.tag("partner presence")? {
+                    false => None,
+                    true => Some(TileId(v.u8()?)),
                 };
                 Some((a, partner))
             }
-            _ => return None,
         };
         loads.push(NodeLoad { program, accel });
     }
     let report = get_report(&mut v)?;
-    if !v.at_end() {
-        return None;
-    }
-    Some((plan, loads, report))
+    v.finish()?;
+    Ok((plan, loads, report))
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@
 mod artifact;
 pub mod workbench;
 
-pub use stitch_cache::{ArtifactStore, Rec, RecView};
+pub use stitch_cache::{ArtifactStore, DecodeError, Rec, RecView};
 pub use stitch_compiler::{PatchConfig, StitchPlan};
 pub use stitch_patch::PatchClass;
 pub use stitch_sim::{
@@ -103,11 +103,11 @@ mod manifest {
             let bytes = m.load("APP1-clean").expect("loaded");
             assert_eq!(bytes, payload);
             let mut v = RecView::new(&bytes);
-            assert_eq!(v.f64(), Some(123.456));
-            assert_eq!(v.u64(), Some(42));
-            assert_eq!(v.words(), Some(vec![1, 2, 3]));
-            assert_eq!(v.str(), Some("APP1"));
-            assert!(v.at_end());
+            assert_eq!(v.f64(), Ok(123.456));
+            assert_eq!(v.u64(), Ok(42));
+            assert_eq!(v.words(), Ok(vec![1, 2, 3]));
+            assert_eq!(v.str(), Ok("APP1"));
+            assert_eq!(v.finish(), Ok(()));
             let _ = fs::remove_dir_all(m.dir());
         }
 

@@ -9,7 +9,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread;
 use stitch_apps::{build_node_program, App};
-use stitch_cache::ArtifactStore;
+use stitch_cache::{ArtifactStore, DecodeError};
 use stitch_compiler::{
     accelerate_all, compile_kernel, decode_kernel_artifact, encode_kernel_artifact,
     kernel_input_key, seed_verify_memo, stitch_application_masked, verify_kernel,
@@ -828,8 +828,8 @@ impl Workbench {
     /// the resumed output bit-identical to an uninterrupted run's
     /// (floats round-trip as bit patterns via [`crate::Rec`]).
     /// `reduce` converts a freshly simulated run into the same record
-    /// type. A `decode` returning `None` (truncated or stale payload) is
-    /// safe: the point is treated as missing and recomputed.
+    /// type. A `decode` returning an error (truncated or stale payload)
+    /// is safe: the point is treated as missing and recomputed.
     #[allow(clippy::too_many_arguments)] // key/encode/decode/reduce form one codec surface
     pub fn sweep_resumable<T>(
         &mut self,
@@ -840,14 +840,14 @@ impl Workbench {
         store: &ArtifactStore,
         key_of: impl Fn(SweepPoint) -> String,
         encode: impl Fn(&AppRun) -> Vec<u8> + Sync,
-        decode: impl Fn(&[u8]) -> Option<T>,
+        decode: impl Fn(&[u8]) -> Result<T, DecodeError>,
         reduce: impl Fn(&AppRun) -> T,
     ) -> Vec<Result<T, Error>> {
         let keys: Vec<String> = points.iter().map(|&p| key_of(p)).collect();
         let mut out: Vec<Option<Result<T, Error>>> = (0..points.len()).map(|_| None).collect();
         let mut missing: Vec<(usize, SweepPoint)> = Vec::new();
         for (i, &p) in points.iter().enumerate() {
-            match store.load(&keys[i]).and_then(|bytes| decode(&bytes)) {
+            match store.load(&keys[i]).and_then(|bytes| decode(&bytes).ok()) {
                 Some(t) => out[i] = Some(Ok(t)),
                 None => missing.push((i, p)),
             }

@@ -5,7 +5,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use stitch::{AppRun, Arch, ArtifactStore, Rec, RecView, SweepPoint, Workbench};
+use stitch::{AppRun, Arch, ArtifactStore, DecodeError, Rec, RecView, SweepPoint, Workbench};
 use stitch_apps::App;
 
 /// Small per-point record: enough to prove bit-identical reassembly.
@@ -30,11 +30,12 @@ impl Pt {
         r.into_bytes()
     }
 
-    fn decode(bytes: &[u8]) -> Option<Pt> {
+    fn decode(bytes: &[u8]) -> Result<Pt, DecodeError> {
         let mut v = RecView::new(bytes);
         let fps_bits = v.u64()?;
         let cycles = v.u64()?;
-        v.at_end().then_some(Pt { fps_bits, cycles })
+        v.finish()?;
+        Ok(Pt { fps_bits, cycles })
     }
 }
 
