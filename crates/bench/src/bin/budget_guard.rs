@@ -1,29 +1,18 @@
-//! Budget-sandboxing regression guard (ISSUE 7).
+//! Budget-sandboxing regression guard.
 //!
-//! The resource sandbox must be free twice over:
+//! An enabled-but-roomy budget (every axis capped far above what the
+//! apps need) must not perturb simulation by a single bit. Each app's
+//! clean Stitch throughput is recomputed with and without the roomy
+//! budget, asserted bit-identical, and checked against the committed
+//! `clean_fps` in `BENCH_faults.json`. That disabled budgets cost no
+//! wall clock is checked by the fig12 overhead gate,
+//! `perf_report --check-overhead`.
 //!
-//! 1. **Wall clock, budgets disabled** — the `RunBudget` checks woven
-//!    into the hot loops of both engines must cost nothing when no cap
-//!    is set. The untraced Fig 12 grid sweep is timed (best of three)
-//!    against the committed `BENCH_sim.json
-//!    fig12_grid.fast_threaded_wall_s` baseline and must stay within
-//!    the tolerance (default 2%, `--tolerance` to relax on noisy CI
-//!    hosts).
-//! 2. **Simulated behavior, budgets enabled** — an enabled-but-roomy
-//!    budget (every axis capped far above what the apps need) must not
-//!    perturb simulation by a single bit. Each app's clean Stitch
-//!    throughput is recomputed with and without the roomy budget,
-//!    asserted bit-identical, and checked against the committed
-//!    `clean_fps` in `BENCH_faults.json`.
-//!
-//! Run from the repo root: `cargo run --release -p stitch-bench --bin
-//! budget_guard [-- --tolerance 0.5]`.
+//! Run from the repo root: `cargo run --release -p bench --bin
+//! budget_guard`.
 
 use stitch::{Arch, JsonValue, RunBudget, Workbench, DEFAULT_FRAMES};
 use stitch_apps::App;
-
-/// Default wall-clock regression budget: 2%.
-const DEFAULT_TOLERANCE: f64 = 0.02;
 
 /// A budget that is enabled (so every check runs) but generous enough
 /// that no axis can fire on the benchmark apps.
@@ -38,7 +27,10 @@ fn roomy_budget() -> RunBudget {
     }
 }
 
-fn behavior_guard() {
+fn main() {
+    if let Some(flag) = std::env::args().nth(1) {
+        panic!("unknown flag {flag}");
+    }
     println!("{}", bench::header("Budgets-enabled bit-stability"));
     let committed = std::fs::read_to_string("BENCH_faults.json").expect("read BENCH_faults.json");
     let committed = JsonValue::parse(&committed).expect("parse BENCH_faults.json");
@@ -92,20 +84,4 @@ fn behavior_guard() {
         );
     }
     println!("budgets-enabled runs are bit-identical on every app");
-}
-
-fn main() {
-    let mut tolerance = DEFAULT_TOLERANCE;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--tolerance" => {
-                let v = args.next().expect("--tolerance needs a value");
-                tolerance = v.parse().expect("--tolerance takes a float");
-            }
-            other => panic!("unknown flag {other}"),
-        }
-    }
-    behavior_guard();
-    bench::fig12_overhead_guard("budgets-disabled", tolerance);
 }

@@ -9,13 +9,8 @@
 //! derived from the same event stream both simulator engines emit, so
 //! every total must land on the corresponding `RunSummary` counter to
 //! the last unit — any drift is a tracing bug, and this binary panics
-//! on it.
-//!
-//! `--check-overhead` mode instead times the tracing-*disabled* Fig 12
-//! sweep (best of three) against the committed `BENCH_sim.json`
-//! baseline and fails if the wall time regressed by more than
-//! `--tolerance` (default 0.02): the observability layer must be free
-//! when it is off.
+//! on it. That tracing costs nothing when it is off is checked by the
+//! fig12 overhead gate, `perf_report --check-overhead`.
 
 use bench::JsonObject;
 use stitch::{to_chrome_trace, Arch, EventKind, JsonValue, TraceConfig, Workbench, DEFAULT_FRAMES};
@@ -26,9 +21,6 @@ const NS_PER_CYCLE: u64 = 5;
 /// Trace export path (one file, for the full-Stitch run).
 const TRACE_PATH: &str = "BENCH_obs.trace.json";
 
-/// Wall-time regression budget for `--check-overhead`.
-const DEFAULT_TOLERANCE: f64 = 0.02;
-
 fn flag_value(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
@@ -37,12 +29,6 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--check-overhead") {
-        let tolerance = flag_value(&args, "--tolerance")
-            .map_or(DEFAULT_TOLERANCE, |v| v.parse().expect("--tolerance value"));
-        bench::fig12_overhead_guard("tracing-disabled", tolerance);
-        return;
-    }
     let frames: u32 = flag_value(&args, "--frames")
         .map_or(DEFAULT_FRAMES, |v| v.parse().expect("--frames value"));
     trace_report(frames);

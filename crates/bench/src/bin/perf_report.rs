@@ -6,76 +6,23 @@
 //! bit-identical summaries, and writes the numbers to `BENCH_sim.json`.
 //! See EXPERIMENTS.md for how to regenerate the file.
 //!
-//! The slow reference leg is crash-safe (ISSUE 3): each grid point's
-//! wall time, cycle count, and summary digest are persisted atomically
-//! to `BENCH_sim.points/` as the point completes. Run with `--resume`
-//! to skip reference points that already finished — their wall times
-//! are reassembled from the point store (the sequential wall figure is
-//! the sum of per-point times either way), and the engine cross-check
-//! falls back to the stored digest for points that were not re-simulated.
-//! Without `--resume` the store is cleared and everything re-runs.
+//! `--check-overhead [--tolerance f]` also makes the run the fig12
+//! overhead gate: the committed `fig12_grid.fast_threaded_wall_s` is
+//! read before `BENCH_sim.json` is rewritten, and the run fails if its
+//! own best-of-three fast leg (the untraced, unbudgeted sweep, so every
+//! disabled layer must be free) regressed by more than `f` (a fraction,
+//! default 0.02).
 
 use std::time::Instant;
 
 use bench::JsonObject;
-use stitch::{
-    ArtifactStore, DecodeError, Rec, RecView, SimEngine, SweepPoint, Workbench, DEFAULT_FRAMES,
-};
+use stitch::{JsonValue, SimEngine, SweepPoint, Workbench, DEFAULT_FRAMES};
 use stitch_apps::App;
-use stitch_cache::fnv1a64;
 use stitch_kernels::all_kernels;
-use stitch_sim::{Arch, RunSummary, CLOCK_HZ};
+use stitch_sim::{Arch, CLOCK_HZ};
 
-/// Point-store directory for crash-safe resume of the reference leg.
-const POINTS_DIR: &str = "BENCH_sim.points";
-
-/// Payload format version; bump on layout changes so stale point records
-/// read as absent and recompute. v2: `RunSummary` gained the
-/// observability `windows` field, which changes the debug rendering the
-/// digest hashes, so v1 digests can no longer be compared.
-const REC_VERSION: u8 = 2;
-
-/// One completed reference-leg grid point. `summary` is populated only
-/// when the point was simulated by this process; resumed points carry
-/// the digest alone.
-struct RefPoint {
-    wall_s: f64,
-    cycles: u64,
-    digest: u64,
-    summary: Option<RunSummary>,
-}
-
-/// Digest used to cross-check engines across a resume boundary: FNV-1a
-/// over the summary's (deterministic) debug rendering.
-fn summary_digest(s: &RunSummary) -> u64 {
-    fnv1a64(format!("{s:?}").as_bytes())
-}
-
-fn encode_ref_point(p: &RefPoint) -> Vec<u8> {
-    let mut rec = Rec::new();
-    rec.u8(REC_VERSION);
-    rec.f64(p.wall_s);
-    rec.u64(p.cycles);
-    rec.u64(p.digest);
-    rec.into_bytes()
-}
-
-fn decode_ref_point(bytes: &[u8]) -> Result<RefPoint, DecodeError> {
-    let mut v = RecView::new(bytes);
-    if v.u8()? != REC_VERSION {
-        return Err(DecodeError::corrupt("point record version"));
-    }
-    let wall_s = v.f64()?;
-    let cycles = v.u64()?;
-    let digest = v.u64()?;
-    v.finish()?;
-    Ok(RefPoint {
-        wall_s,
-        cycles,
-        digest,
-        summary: None,
-    })
-}
+/// Default wall-clock regression budget for `--check-overhead`: 2%.
+const DEFAULT_TOLERANCE: f64 = 0.02;
 
 /// Wall time of the same prewarmed Fig 12 grid on the pre-change engine,
 /// measured at the seed commit on this host (see EXPERIMENTS.md,
@@ -87,8 +34,37 @@ const SEED_FIG12_WALL_S: f64 = 13.26;
 /// Commit the baseline was measured at.
 const SEED_COMMIT: &str = "d1039ad";
 
+/// The committed fast-leg wall time and the allowed regression, when
+/// run with `--check-overhead`.
+fn overhead_gate() -> Option<(f64, f64)> {
+    let mut tolerance = DEFAULT_TOLERANCE;
+    let mut check = false;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--check-overhead" => check = true,
+            "--tolerance" => {
+                let v = args.next().expect("--tolerance needs a value");
+                tolerance = v.parse().expect("--tolerance takes a float");
+            }
+            other => panic!("unknown flag {other}"),
+        }
+    }
+    if !check {
+        return None;
+    }
+    let committed = std::fs::read_to_string("BENCH_sim.json").expect("read BENCH_sim.json");
+    let committed = JsonValue::parse(&committed).expect("parse BENCH_sim.json");
+    let baseline = committed
+        .get("fig12_grid")
+        .and_then(|g| g.get("fast_threaded_wall_s"))
+        .and_then(JsonValue::as_f64)
+        .expect("BENCH_sim.json fig12_grid.fast_threaded_wall_s");
+    Some((baseline, tolerance))
+}
+
 fn main() {
-    let resume = std::env::args().any(|a| a == "--resume");
+    let gate = overhead_gate();
     let apps = App::all();
     let grid = Workbench::full_grid(&apps);
     let threads = Workbench::default_threads();
@@ -100,75 +76,35 @@ fn main() {
         "host threads: {threads} (sweep pool: {pool}); frames: {DEFAULT_FRAMES}; grid: {} points",
         grid.len()
     );
-    let store = ArtifactStore::open(POINTS_DIR).expect("open sweep point store");
-    if resume {
-        println!(
-            "resuming: {} completed reference point(s) in {POINTS_DIR}/",
-            store.completed()
-        );
-    } else {
-        store.clear().expect("clear sweep point store");
-    }
-
     let mut ws = Workbench::new();
     // Compile every kernel up front so both timed regions measure pure
     // stitch+simulate work.
     ws.prewarm(&apps);
 
     // Fig 12 grid, pre-change shape: sequential loop, naive tick-by-tick
-    // simulator. Each point is persisted (atomic tmp+rename) as it
-    // completes, so a killed run resumes here instead of repaying the
-    // whole leg.
+    // simulator.
     ws.set_engine(SimEngine::Reference);
-    let mut ref_points: Vec<RefPoint> = Vec::new();
-    let mut reused = 0usize;
-    for p in &grid {
-        let key = format!(
-            "fig12-ref-{}-{:?}-f{DEFAULT_FRAMES}",
-            apps[p.app].name, p.arch
-        );
-        let point = match store.load(&key).and_then(|b| decode_ref_point(&b).ok()) {
-            Some(point) => {
-                reused += 1;
-                point
-            }
-            None => {
-                let t = Instant::now();
-                let run = ws
-                    .run_app(&apps[p.app], p.arch, DEFAULT_FRAMES)
-                    .expect("reference run");
-                let point = RefPoint {
-                    wall_s: t.elapsed().as_secs_f64(),
-                    cycles: run.summary.cycles,
-                    digest: summary_digest(&run.summary),
-                    summary: Some(run.summary),
-                };
-                store
-                    .store(&key, &encode_ref_point(&point))
-                    .unwrap_or_else(|e| panic!("persist reference point {key}: {e}"));
-                point
-            }
-        };
-        ref_points.push(point);
-    }
-    let ref_s: f64 = ref_points.iter().map(|p| p.wall_s).sum();
-    let sim_cycles: u64 = ref_points.iter().map(|p| p.cycles).sum();
-    if reused > 0 {
-        println!(
-            "reference leg: {reused}/{} points reused from the point store",
-            grid.len()
-        );
-    }
+    let t = Instant::now();
+    let ref_summaries: Vec<_> = grid
+        .iter()
+        .map(|p| {
+            ws.run_app(&apps[p.app], p.arch, DEFAULT_FRAMES)
+                .expect("reference run")
+                .summary
+        })
+        .collect();
+    let ref_s = t.elapsed().as_secs_f64();
+    let sim_cycles: u64 = ref_summaries.iter().map(|s| s.cycles).sum();
     println!("fig12 grid, sequential reference loop: {ref_s:>8.2}s");
 
     // Fig 12 grid, this change: threaded sweep over the event-driven fast
     // path. Always re-run — it is cheap, and the wall time is the
     // headline number.
     ws.set_engine(SimEngine::EventDriven);
-    // Best of three, matching `obs_report --check-overhead`: the headline
-    // measures the engine's capability, not scheduler noise on a loaded
-    // host. Runs are deterministic, so the last pass's results serve for
-    // the equivalence check below.
+    // Best of three: the headline (and the overhead gate) measures the
+    // engine's capability, not scheduler noise on a loaded host. Runs
+    // are deterministic, so the last pass's results serve for the
+    // equivalence check below.
     let mut fast_s = f64::INFINITY;
     let mut fast_runs = Vec::new();
     for pass in 0..3 {
@@ -184,25 +120,29 @@ fn main() {
     }
     println!("fig12 grid, threaded event-driven sweep (best of 3): {fast_s:>6.2}s");
 
-    // The fast path must be invisible in the results. Points simulated
-    // this process compare summaries exactly; resumed points compare
-    // against the stored digest.
-    for (a, b) in ref_points.iter().zip(&fast_runs) {
-        if let Some(s) = &a.summary {
-            assert_eq!(
-                *s, b.summary,
-                "engines diverge on {}/{:?}",
-                b.app_name, b.arch
-            );
-        }
+    // The fast path must be invisible in the results.
+    for (a, b) in ref_summaries.iter().zip(&fast_runs) {
         assert_eq!(
-            a.digest,
-            summary_digest(&b.summary),
-            "engines diverge on {}/{:?} (digest)",
-            b.app_name,
-            b.arch
+            *a, b.summary,
+            "engines diverge on {}/{:?}",
+            b.app_name, b.arch
         );
     }
+    if let Some((baseline, tolerance)) = gate {
+        let overhead = fast_s / baseline - 1.0;
+        println!(
+            "fast leg {fast_s:.2}s vs committed {baseline:.2}s: {:+.1}% (budget {:+.1}%)",
+            overhead * 100.0,
+            tolerance * 100.0
+        );
+        assert!(
+            overhead <= tolerance,
+            "fig12 fast leg regressed {:.1}% (> {:.1}% budget) vs BENCH_sim.json",
+            overhead * 100.0,
+            tolerance * 100.0
+        );
+    }
+
     let speedup = ref_s / fast_s;
     let speedup_vs_seed = SEED_FIG12_WALL_S / fast_s;
     println!("speedup vs in-tree reference engine: {speedup:.2}x (summaries bit-identical)");

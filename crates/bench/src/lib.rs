@@ -3,14 +3,10 @@
 //! One binary per paper table/figure lives in `src/bin/` (see DESIGN.md's
 //! experiment index); hand-rolled microbenches live in `benches/` (the
 //! offline sandbox has no Criterion). This library provides the shared
-//! report formatting, the micro-timing and JSON helpers, and the one
-//! wall-clock overhead guard the regression binaries share.
+//! report formatting and the micro-timing and JSON helpers.
 
 use std::fmt::Write as _;
 use std::time::Instant;
-
-use stitch::{JsonValue, Workbench, DEFAULT_FRAMES};
-use stitch_apps::App;
 
 /// Formats a two-column paper-vs-measured comparison row.
 #[must_use]
@@ -51,59 +47,6 @@ pub fn time_fn<T>(name: &str, warmup: u32, iters: u32, mut f: impl FnMut() -> T)
     let ns = start.elapsed().as_nanos() as f64 / f64::from(iters);
     println!("{name:<44} {:>12.0} ns/iter  ({iters} iters)", ns);
     ns
-}
-
-/// Wall-clock overhead guard: times the prewarmed, untraced,
-/// unbudgeted Fig 12 grid sweep (best of three — the check cares about
-/// the engine's capability, not scheduler noise on a loaded host)
-/// against the committed `BENCH_sim.json`
-/// `fig12_grid.fast_threaded_wall_s` baseline, and panics when it
-/// regressed by more than `tolerance` (a fraction). `layer` names the
-/// disabled layer that must be free when off, e.g. `"tracing-disabled"`.
-///
-/// # Panics
-///
-/// When the baseline cannot be read or the sweep regressed past
-/// `tolerance`.
-pub fn fig12_overhead_guard(layer: &str, tolerance: f64) {
-    println!("{}", header(&format!("{layer} overhead check")));
-    let committed = std::fs::read_to_string("BENCH_sim.json").expect("read BENCH_sim.json");
-    let committed = JsonValue::parse(&committed).expect("parse BENCH_sim.json");
-    let baseline = committed
-        .get("fig12_grid")
-        .and_then(|g| g.get("fast_threaded_wall_s"))
-        .and_then(JsonValue::as_f64)
-        .expect("BENCH_sim.json fig12_grid.fast_threaded_wall_s");
-
-    let apps = App::all();
-    let grid = Workbench::full_grid(&apps);
-    let threads = Workbench::default_threads();
-    let mut ws = Workbench::new();
-    ws.set_trace(None);
-    ws.prewarm(&apps);
-    let mut best = f64::INFINITY;
-    for i in 0..3 {
-        let t = Instant::now();
-        for r in ws.sweep(&apps, &grid, DEFAULT_FRAMES, threads) {
-            r.expect("untraced run");
-        }
-        let wall = t.elapsed().as_secs_f64();
-        println!("fig12 grid, {layer} sweep, pass {i}: {wall:>6.2}s");
-        best = best.min(wall);
-    }
-    let overhead = best / baseline - 1.0;
-    println!(
-        "best {best:.2}s vs committed {baseline:.2}s: {:+.1}% (budget {:+.1}%)",
-        overhead * 100.0,
-        tolerance * 100.0
-    );
-    assert!(
-        overhead <= tolerance,
-        "{layer} sweep regressed {:.1}% (> {:.1}% budget) vs BENCH_sim.json",
-        overhead * 100.0,
-        tolerance * 100.0
-    );
-    println!("{layer} hot path is within budget");
 }
 
 /// Minimal JSON writer: enough for the flat report objects the perf

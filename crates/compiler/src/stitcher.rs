@@ -37,7 +37,7 @@ pub struct GrantedAccel {
 }
 
 /// Final placement and acceleration decisions.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StitchPlan {
     /// Per kernel (same order as the input): assigned tile.
     pub tiles: Vec<TileId>,

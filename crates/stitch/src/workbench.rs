@@ -1,12 +1,14 @@
 //! The experiment workbench: compile → stitch → simulate → measure.
 
 use crate::artifact::{app_input_key, decode_prepared, encode_prepared};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use stitch_apps::{build_node_program, App};
 use stitch_cache::{ArtifactStore, DecodeError};
@@ -129,7 +131,7 @@ impl AppRun {
 }
 
 /// A row of the Fig 11 kernel-speedup table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelRow {
     /// Kernel name.
     pub name: String,
@@ -173,20 +175,27 @@ pub enum SimEngine {
 /// Compiles kernels (with caching), runs the stitching algorithm and the
 /// chip simulator.
 ///
-/// Cloning a workbench clones its compiled-kernel cache; the sweep
-/// harness hands each worker thread a warm clone.
+/// Every clone of a workbench shares one memo of compiled kernels and
+/// prepared apps, so the worker clones of a threaded sweep or kernel
+/// table compile and stitch each input once between them.
 #[derive(Default, Clone)]
 pub struct Workbench {
-    variants: HashMap<String, KernelVariants>,
-    prepared: Arc<Mutex<HashMap<PrepKey, Arc<Prepared>>>>,
+    memo: Arc<Memo>,
     /// Persistent verified-artifact store; when set, compiled kernels
     /// and prepared apps are reloaded across processes (see
     /// [`Workbench::set_artifact_store`]).
     artifacts: Option<Arc<ArtifactStore>>,
     engine: SimEngine,
     trace: Option<TraceConfig>,
-    translate: Option<bool>,
     budget: RunBudget,
+}
+
+/// The in-memory tier of [`Workbench::variants`] and
+/// [`Workbench::prepare`], shared by every clone of a workbench.
+#[derive(Default)]
+struct Memo {
+    kernels: Mutex<HashMap<String, Arc<KernelVariants>>>,
+    prepared: Mutex<HashMap<PrepKey, Arc<Prepared>>>,
 }
 
 /// Identity of one compile→stitch pipeline output: everything
@@ -201,7 +210,6 @@ type PrepKey = (&'static str, Arch, u32, Vec<TileId>);
 /// all workbench clones share, so sweep workers and repeated runs of the
 /// same (app, arch, frames, mask) point skip the whole pipeline.
 struct Prepared {
-    cfg: ChipConfig,
     plan: StitchPlan,
     loads: Vec<NodeLoad>,
     /// `verify_run` with no fault plan. Runs carrying a fault plan
@@ -220,14 +228,6 @@ impl Workbench {
     /// the sweep harness inherit it).
     pub fn set_engine(&mut self, engine: SimEngine) {
         self.engine = engine;
-    }
-
-    /// Overrides basic-block translation on the chips subsequent runs
-    /// build (`None` keeps the chip default, which is on). Only
-    /// meaningful for [`SimEngine::EventDriven`]; the reference loop
-    /// never translates. Sweep-worker clones inherit the setting.
-    pub fn set_translation(&mut self, enabled: Option<bool>) {
-        self.translate = enabled;
     }
 
     /// Installs hard resource caps for subsequent runs (see
@@ -288,47 +288,43 @@ impl Workbench {
     ///
     /// Propagates compiler failures.
     pub fn variants(&mut self, kernel: &dyn Kernel) -> Result<KernelVariants, Error> {
-        let key = Self::cache_key(kernel);
-        if let Some(v) = self.variants.get(&key) {
-            return Ok(v.clone());
-        }
         let spec = kernel.spec();
-        let standalone = kernel.standalone()?;
         let output_check = Some((spec.output_addr, spec.output_words as usize));
-
-        // Persistent layer: a stored artifact under the input key *is*
-        // the output of this exact compile (same program bytes, config
-        // list, output check, verifier version) together with the clean
-        // report that admitted it, so a valid hit skips compilation,
-        // cycle measurement, and verification in one step.
-        let store_key = self.artifacts.as_ref().and_then(|_| {
-            kernel_input_key(spec.name, &standalone, &Self::all_configs(), output_check)
-        });
-        if let (Some(store), Some(sk)) = (&self.artifacts, &store_key) {
-            if let Some(payload) = store.load(sk) {
-                if let Some((kv, report)) = decode_kernel_artifact(&payload) {
-                    if report.is_clean() && kv.name == spec.name {
-                        seed_verify_memo(&kv, report);
-                        self.variants.insert(key, kv.clone());
-                        return Ok(kv);
-                    }
-                }
-            }
-        }
-
-        let kv = compile_kernel(spec.name, &standalone, &Self::all_configs(), output_check)?;
-        if let (Some(store), Some(sk)) = (&self.artifacts, &store_key) {
-            let report = verify_kernel(&kv);
-            if report.is_clean() {
-                if let Some(payload) = encode_kernel_artifact(&kv, &report) {
-                    // Best-effort: a failed write costs the next
-                    // process a recompile, never correctness.
-                    let _ = store.store(sk, &payload);
-                }
-            }
-        }
-        self.variants.insert(key.clone(), kv);
-        Ok(self.variants[&key].clone())
+        let standalone = OnceCell::new();
+        let program = || standalone.get_or_init(|| kernel.standalone());
+        let kv = memoized(
+            &self.memo.kernels,
+            Self::cache_key(kernel),
+            self.artifacts.as_deref(),
+            // A stored artifact under the input key *is* the output of
+            // this exact compile (same program bytes, config list, output
+            // check, verifier version) together with the clean report
+            // that admitted it, so a valid hit skips compilation, cycle
+            // measurement, and verification in one step.
+            || {
+                let program = program().as_ref().ok()?;
+                kernel_input_key(spec.name, program, &Self::all_configs(), output_check)
+            },
+            |payload| {
+                let (kv, report) = decode_kernel_artifact(payload)?;
+                (report.is_clean() && kv.name == spec.name).then(|| {
+                    seed_verify_memo(&kv, report);
+                    kv
+                })
+            },
+            || {
+                let program = program().as_ref().map_err(Clone::clone)?;
+                compile_kernel(spec.name, program, &Self::all_configs(), output_check)
+                    .map_err(Error::from)
+            },
+            |kv| {
+                let report = verify_kernel(kv);
+                report
+                    .is_clean()
+                    .then(|| encode_kernel_artifact(kv, &report))?
+            },
+        )?;
+        Ok(KernelVariants::clone(&kv))
     }
 
     fn kernel_row(kernel: &dyn Kernel, kv: &KernelVariants) -> KernelRow {
@@ -359,17 +355,13 @@ impl Workbench {
     ///
     /// Propagates compiler failures.
     pub fn kernel_table(&mut self, kernels: &[Box<dyn Kernel>]) -> Result<Vec<KernelRow>, Error> {
-        let mut rows = Vec::new();
-        for k in kernels {
-            let kv = self.variants(k.as_ref())?;
-            rows.push(Self::kernel_row(k.as_ref(), &kv));
-        }
-        Ok(rows)
+        self.kernel_table_threaded(kernels, 1)
     }
 
     /// [`Workbench::kernel_table`] with per-kernel compilation fanned out
-    /// over `threads` OS threads. Row order matches `kernels`; compiled
-    /// variants are folded back into this workbench's cache.
+    /// over `threads` OS threads (`0` = one per hardware thread). Row
+    /// order matches `kernels`; the workers' clones compile into the
+    /// memo this workbench shares with them.
     ///
     /// # Errors
     ///
@@ -379,40 +371,12 @@ impl Workbench {
         kernels: &[Box<dyn Kernel>],
         threads: usize,
     ) -> Result<Vec<KernelRow>, Error> {
-        let workers = threads.max(1).min(kernels.len().max(1));
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Result<KernelVariants, Error>)>();
-        let mut compiled: Vec<Option<Result<KernelVariants, Error>>> =
-            (0..kernels.len()).map(|_| None).collect();
-        thread::scope(|s| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let mut ws = self.clone();
-                s.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= kernels.len() {
-                        break;
-                    }
-                    let r = ws.variants(kernels[i].as_ref());
-                    if tx.send((i, r)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            for (i, r) in rx {
-                compiled[i] = Some(r);
-            }
-        });
-        let mut rows = Vec::new();
-        for (k, slot) in kernels.iter().zip(compiled) {
-            let kv = slot.expect("every kernel produced a result")?;
-            self.variants
-                .insert(Self::cache_key(k.as_ref()), kv.clone());
-            rows.push(Self::kernel_row(k.as_ref(), &kv));
-        }
-        Ok(rows)
+        self.pool(kernels.len(), threads, |ws, i| {
+            let k = kernels[i].as_ref();
+            Ok(Self::kernel_row(k, &ws.variants(k)?))
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Runs one application on one architecture for `frames` frames.
@@ -458,12 +422,15 @@ impl Workbench {
     /// build every per-node program the chip would execute,
     /// accelerating where the plan grants it.
     ///
-    /// The result is memoized in a cache shared by every clone of this
-    /// workbench: the pipeline is a pure function of the key (app, arch,
+    /// The result is memoized in the memo every clone of this workbench
+    /// shares: the pipeline is a pure function of the key (app, arch,
     /// frames, failed-patch mask), so repeated sweep points — and all
     /// sixteen workers of a grid sweep — compile and stitch each point
     /// once. The fault-free verification report is memoized alongside
-    /// (it depends only on the same key).
+    /// (it depends only on the same key). With an artifact store
+    /// attached, a stored prepared-app bundle under the input key
+    /// replaces the whole pipeline, so the memo persists across
+    /// processes.
     fn prepare(
         &mut self,
         app: &App,
@@ -475,37 +442,40 @@ impl Workbench {
         let masked = fault_plan
             .map(FaultPlan::failed_patches)
             .unwrap_or_default();
-        let key: PrepKey = (app.name, arch, frames, masked);
-        if let Some(p) = self.prepared.lock().ok().and_then(|c| c.get(&key).cloned()) {
-            return Ok(p);
-        }
+        let (memo, store) = (Arc::clone(&self.memo), self.artifacts.clone());
+        memoized(
+            &memo.prepared,
+            (app.name, arch, frames, masked.clone()),
+            store.as_deref(),
+            || app_input_key(app, arch, frames, &masked),
+            |payload| {
+                let (plan, loads, clean_report) = decode_prepared(payload)?;
+                let fits = plan.tiles.len() == app.nodes.len() && loads.len() == app.nodes.len();
+                fits.then_some(Prepared {
+                    plan,
+                    loads,
+                    clean_report,
+                })
+            },
+            || self.build_prepared(app, arch, frames, &masked),
+            // Only verified-clean bundles become artifacts: a reloaded
+            // bundle substitutes for the live verify gate.
+            |p| {
+                let clean = p.clean_report.is_clean();
+                clean.then(|| encode_prepared(&p.plan, &p.loads, &p.clean_report))?
+            },
+        )
+    }
 
-        // Persistent layer: a stored prepared-app bundle under the
-        // input key replaces the whole compile→stitch→wire→verify
-        // pipeline, so the in-memory memo persists across processes.
-        let store_key = self
-            .artifacts
-            .as_ref()
-            .and_then(|_| app_input_key(app, arch, frames, &key.3));
-        if let (Some(store), Some(sk)) = (&self.artifacts, &store_key) {
-            if let Some(payload) = store.load(sk) {
-                if let Some((plan, loads, clean_report)) = decode_prepared(&payload) {
-                    if plan.tiles.len() == app.nodes.len() && loads.len() == app.nodes.len() {
-                        let prepared = Arc::new(Prepared {
-                            cfg: ChipConfig::for_arch(arch),
-                            plan,
-                            loads,
-                            clean_report,
-                        });
-                        if let Ok(mut cache) = self.prepared.lock() {
-                            cache.insert(key, Arc::clone(&prepared));
-                        }
-                        return Ok(prepared);
-                    }
-                }
-            }
-        }
-
+    /// The live compile→stitch→wire→verify pipeline behind
+    /// [`Workbench::prepare`].
+    fn build_prepared(
+        &mut self,
+        app: &App,
+        arch: Arch,
+        frames: u32,
+        masked: &[TileId],
+    ) -> Result<Prepared, Error> {
         // 1. Variants for each node's kernel (cached across nodes/archs).
         let mut app_kernels = Vec::new();
         for n in &app.nodes {
@@ -518,7 +488,7 @@ impl Workbench {
 
         // 2. Algorithm 1, with permanently dead patches masked out.
         let chip_cfg = ChipConfig::for_arch(arch);
-        let plan = stitch_application_masked(&app_kernels, &chip_cfg, arch, &key.3);
+        let plan = stitch_application_masked(&app_kernels, &chip_cfg, arch, masked);
 
         // 3. Build every per-node program the chip will execute.
         let mut loads: Vec<NodeLoad> = Vec::new();
@@ -537,25 +507,11 @@ impl Workbench {
             loads.push(NodeLoad { program, accel });
         }
         let clean_report = verify_run(app, &chip_cfg, &plan, None, &loads);
-        if let (Some(store), Some(sk)) = (&self.artifacts, &store_key) {
-            // Only verified-clean bundles become artifacts: a reloaded
-            // bundle substitutes for the live verify gate.
-            if clean_report.is_clean() {
-                if let Some(payload) = encode_prepared(&plan, &loads, &clean_report) {
-                    let _ = store.store(sk, &payload);
-                }
-            }
-        }
-        let prepared = Arc::new(Prepared {
-            cfg: chip_cfg,
+        Ok(Prepared {
             plan,
             loads,
             clean_report,
-        });
-        if let Ok(mut cache) = self.prepared.lock() {
-            cache.insert(key, Arc::clone(&prepared));
-        }
-        Ok(prepared)
+        })
     }
 
     /// Runs the full compile→stitch pipeline for one (app, arch) point
@@ -582,8 +538,8 @@ impl Workbench {
         fault_plan: Option<&FaultPlan>,
     ) -> Result<AppRun, Error> {
         let prep = self.prepare(app, arch, frames, fault_plan)?;
+        let chip_cfg = ChipConfig::for_arch(arch);
         let Prepared {
-            cfg: ref chip_cfg,
             ref plan,
             ref loads,
             ref clean_report,
@@ -597,21 +553,18 @@ impl Workbench {
         // re-verify against it.
         let report = match fault_plan {
             None => clean_report.clone(),
-            Some(_) => verify_run(app, chip_cfg, plan, fault_plan, loads),
+            Some(_) => verify_run(app, &chip_cfg, plan, fault_plan, loads),
         };
         if !report.is_clean() {
             return Err(Error::Verify(report));
         }
 
         // 4. Load the verified artifacts onto the chip.
-        let mut chip = Chip::new(chip_cfg.clone());
+        let mut chip = Chip::new(chip_cfg);
         // Tracing starts before circuit reservation so stitch-time
         // `CircuitReserve` events are part of the stream.
         if let Some(tc) = &self.trace {
             chip.set_trace(tc);
-        }
-        if let Some(t) = self.translate {
-            chip.set_translation(t);
         }
         if self.budget != RunBudget::unlimited() {
             chip.set_budget(self.budget);
@@ -664,18 +617,6 @@ impl Workbench {
         })
     }
 
-    /// Convenience: runs all four architectures on an app.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compiler and simulator failures.
-    pub fn run_all_archs(&mut self, app: &App, frames: u32) -> Result<Vec<AppRun>, Error> {
-        Arch::ALL
-            .iter()
-            .map(|&a| self.run_app(app, a, frames))
-            .collect()
-    }
-
     /// Worker-thread count used by the sweep entry points when callers
     /// pass `0`: one per available hardware thread.
     #[must_use]
@@ -709,8 +650,8 @@ impl Workbench {
         }
     }
 
-    /// Every architecture × every app, as sweep points in `Arch::ALL`-major
-    /// order grouped by app (the order `run_all_archs` would produce).
+    /// Every architecture × every app, as sweep points grouped by app,
+    /// each app's points in `Arch::ALL` order.
     #[must_use]
     pub fn full_grid(apps: &[App]) -> Vec<SweepPoint> {
         (0..apps.len())
@@ -722,9 +663,10 @@ impl Workbench {
     /// hardware thread), returning results in `points` order regardless
     /// of completion order.
     ///
-    /// Workers claim points from a shared atomic counter and each owns a
-    /// clone of this workbench with a prewarmed kernel cache, so no lock
-    /// is held while simulating. Each point is an independent
+    /// Every kernel is compiled up front, sequentially, so the workers
+    /// start from a warm memo; each worker owns a clone of this
+    /// workbench and the clones share that memo, taking its locks only
+    /// to look up or insert. Each point is an independent
     /// compile→stitch→simulate pipeline, so results are identical to
     /// running the points sequentially.
     pub fn sweep(
@@ -756,47 +698,40 @@ impl Workbench {
             return Vec::new();
         }
         self.prewarm(apps);
-        let workers = Self::sweep_workers(threads, points.len());
+        self.pool(points.len(), threads, |ws, i| {
+            let p = points[i];
+            let run = ws.run_app(&apps[p.app], p.arch, frames)?;
+            on_done(i, &run)?;
+            Ok(run)
+        })
+    }
+
+    /// The one worker pool: runs `job(ws, i)` for every `i < n` on
+    /// [`Workbench::sweep_workers`]`(threads, n)` workers and returns
+    /// the results in index order regardless of completion order.
+    /// Workers claim indices from a shared atomic counter, each on its
+    /// own clone of this workbench. A single worker runs inline on
+    /// `self`: spawning a thread just to feed it through a channel
+    /// gains nothing.
+    fn pool<T: Send>(
+        &mut self,
+        n: usize,
+        threads: usize,
+        job: impl Fn(&mut Self, usize) -> T + Sync,
+    ) -> Vec<T> {
+        let workers = Self::sweep_workers(threads, n);
         if workers == 1 {
-            // A single worker gains nothing from the pool machinery —
-            // spawning a thread just to feed it points through a channel
-            // costs a deep workbench clone plus messaging. Run inline on
-            // the caller's workbench; each point is the same independent
-            // pipeline either way, so the results are identical.
-            return points
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| {
-                    let run = self.run_app(&apps[p.app], p.arch, frames)?;
-                    on_done(i, &run)?;
-                    Ok(run)
-                })
-                .collect();
+            return (0..n).map(|i| job(self, i)).collect();
         }
         let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Result<AppRun, Error>)>();
-        let mut out: Vec<Option<Result<AppRun, Error>>> = (0..points.len()).map(|_| None).collect();
+        let (tx, rx) = mpsc::channel();
+        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
         thread::scope(|s| {
             for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let on_done = &on_done;
-                let mut ws = self.clone();
+                let (tx, next, job, mut ws) = (tx.clone(), &next, &job, self.clone());
                 s.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= points.len() {
-                        break;
-                    }
-                    let p = points[i];
-                    let r = ws.run_app(&apps[p.app], p.arch, frames);
-                    let r = match r {
-                        Ok(run) => match on_done(i, &run) {
-                            Ok(()) => Ok(run),
-                            Err(e) => Err(e),
-                        },
-                        Err(e) => Err(e),
-                    };
-                    if tx.send((i, r)).is_err() {
+                    if i >= n || tx.send((i, job(&mut ws, i))).is_err() {
                         break;
                     }
                 });
@@ -807,7 +742,7 @@ impl Workbench {
             }
         });
         out.into_iter()
-            .map(|slot| slot.expect("every point produced a result"))
+            .map(|slot| slot.expect("every job produced a result"))
             .collect()
     }
 
@@ -865,6 +800,53 @@ impl Workbench {
             .map(|slot| slot.expect("every point produced a result"))
             .collect()
     }
+}
+
+/// The one memo ladder behind [`Workbench::variants`] and
+/// [`Workbench::prepare`]: the in-memory `tier` that every clone
+/// shares; then the attached artifact store, whose key is computed
+/// only when one is attached and whose payload counts only if `load`
+/// accepts it; then `build`, whose output `save` encodes for a
+/// best-effort store write. The result then joins the memory tier. No
+/// lock is held while loading or building.
+fn memoized<K: Eq + Hash, V>(
+    tier: &Mutex<HashMap<K, Arc<V>>>,
+    key: K,
+    store: Option<&ArtifactStore>,
+    store_key: impl FnOnce() -> Option<String>,
+    load: impl FnOnce(&[u8]) -> Option<V>,
+    build: impl FnOnce() -> Result<V, Error>,
+    save: impl FnOnce(&V) -> Option<Vec<u8>>,
+) -> Result<Arc<V>, Error> {
+    if let Some(v) = lock(tier).get(&key) {
+        return Ok(Arc::clone(v));
+    }
+    let store = store.and_then(|s| Some((s, store_key()?)));
+    let loaded = store.as_ref().and_then(|(s, sk)| load(&s.load(sk)?));
+    let v = match loaded {
+        Some(v) => v,
+        None => {
+            let v = build()?;
+            if let Some((s, sk)) = &store {
+                if let Some(payload) = save(&v) {
+                    // Best-effort: a failed write costs a later process a
+                    // rebuild, never correctness.
+                    let _ = s.store(sk, &payload);
+                }
+            }
+            v
+        }
+    };
+    let v = Arc::new(v);
+    lock(tier).insert(key, Arc::clone(&v));
+    Ok(v)
+}
+
+/// Locks a memo tier. Every critical section is one `get` or `insert`,
+/// which leaves the map valid, so a lock poisoned by a panicking worker
+/// is recovered rather than skipped.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One node's executable artifact: the wired program, plus the
@@ -982,4 +964,89 @@ fn verify_run(
         }
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use stitch_apps::NodeSpec;
+    use stitch_kernels::misc::Histogram;
+    use stitch_kernels::signal::UpdateFeature;
+
+    fn small_kernels() -> Vec<Box<dyn Kernel>> {
+        vec![Box::new(Histogram::new(8)), Box::new(UpdateFeature::new(8))]
+    }
+
+    /// Two independent source nodes over the small kernels: the
+    /// cheapest app the full pipeline accepts.
+    fn tiny_app() -> App {
+        let nodes = small_kernels()
+            .into_iter()
+            .zip(0u8..)
+            .map(|(kernel, home)| NodeSpec {
+                name: kernel.spec().name.to_string(),
+                kernel,
+                home: TileId(home),
+                recvs: Vec::new(),
+                sends: Vec::new(),
+            })
+            .collect();
+        App {
+            name: "tiny",
+            title: "two independent small kernels",
+            nodes,
+        }
+    }
+
+    #[test]
+    fn clones_share_compiled_kernels() {
+        let dir = std::env::temp_dir().join(format!("stitch-wb-memo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(ArtifactStore::open(&dir).expect("open store"));
+        let mut ws = Workbench::new();
+        ws.set_artifact_store(Arc::clone(&store));
+        let k = Histogram::new(8);
+        let compiled = ws.clone().variants(&k).expect("compile");
+        let lookups = store.hits() + store.misses();
+        let reused = ws.variants(&k).expect("memo hit");
+        assert_eq!(
+            store.hits() + store.misses(),
+            lookups,
+            "a clone's compile must reach the original through the shared memo"
+        );
+        assert_eq!(reused.baseline_cycles, compiled.baseline_cycles);
+        assert_eq!(reused.variants.len(), compiled.variants.len());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn threaded_kernel_table_matches_sequential() {
+        let kernels = small_kernels();
+        let threaded = Workbench::new()
+            .kernel_table_threaded(&kernels, 2)
+            .expect("threaded table");
+        let sequential = Workbench::new()
+            .kernel_table(&kernels)
+            .expect("sequential table");
+        assert_eq!(threaded, sequential);
+    }
+
+    #[test]
+    fn threaded_sweep_matches_sequential_runs() {
+        let apps = [tiny_app()];
+        let points: Vec<SweepPoint> = [Arch::Baseline, Arch::Stitch]
+            .into_iter()
+            .map(|arch| SweepPoint { app: 0, arch })
+            .collect();
+        let swept = Workbench::new().sweep(&apps, &points, 1, 2);
+        for (p, r) in points.iter().zip(swept) {
+            let swept = r.expect("swept run");
+            let fresh = Workbench::new()
+                .run_app(&apps[p.app], p.arch, 1)
+                .expect("sequential run");
+            assert_eq!(swept.summary, fresh.summary, "{:?}", p.arch);
+            assert_eq!(swept.node_outputs, fresh.node_outputs, "{:?}", p.arch);
+            assert_eq!(swept.plan, fresh.plan, "{:?}", p.arch);
+        }
+    }
 }
