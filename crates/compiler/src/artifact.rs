@@ -3,16 +3,16 @@
 //! Composes the shared codecs from `stitch-cache` into the compiler's
 //! own artifact shapes — a full [`KernelVariants`] bundle together with
 //! the clean verify [`Report`] that admitted it, and a [`StitchPlan`] —
-//! and derives the SHA-256 content keys that address them in an
-//! [`ArtifactStore`]:
+//! and derives their SHA-256 content keys:
 //!
 //! * [`kernel_input_key`] hashes the compiler's *inputs* (kernel name,
 //!   standalone program bytes, configuration list, output check, and
 //!   [`VERIFIER_VERSION`]), so a warm sweep can skip compilation and
-//!   verification entirely: same inputs, same artifact.
-//! * [`verify_kernel_stored`] addresses by the compiled *output* (the
-//!   encoded [`KernelVariants`]) and persists only the report — a
-//!   smaller win used when the caller already holds the artifact.
+//!   verification entirely: same inputs, same artifact. This key
+//!   addresses kernel artifacts in a `stitch_cache::ArtifactStore`;
+//!   the report is stored inside the artifact, never on its own.
+//! * [`verify_report_key`] hashes the compiled *output* (the encoded
+//!   [`KernelVariants`]); it keys the in-process verify memo only.
 //!
 //! Both keys fold in [`VERIFIER_VERSION`], so upgrading the static
 //! analyses retires every stored verdict at once. Decoding never
@@ -23,12 +23,11 @@
 use crate::driver::{AcceleratedKernel, KernelVariants};
 use crate::mapper::PatchConfig;
 use crate::stitcher::{GrantedAccel, StitchPlan};
-use crate::verify::{seed_verify_memo_keyed, verify_kernel_keyed, verify_kernel_uncached};
 use stitch_cache::codec::{
     get_class, get_control, get_ise_check, get_program, get_report, put_class, put_control,
     put_ise_check, put_program, put_report, MIN_ISE_CHECK_BYTES, MIN_PROGRAM_BYTES,
 };
-use stitch_cache::{ArtifactStore, DecodeError, OrCorrupt, Rec, RecView, Sha256};
+use stitch_cache::{DecodeError, OrCorrupt, Rec, RecView, Sha256};
 use stitch_noc::TileId;
 use stitch_verify::{Report, VERIFIER_VERSION};
 
@@ -256,34 +255,6 @@ fn get_kernel_artifact(bytes: &[u8]) -> Result<(KernelVariants, Report), DecodeE
     Ok((kv, report))
 }
 
-/// Order-stable rendering of an [`AcceleratedKernel`] for equality
-/// checks. `ci_controls` is a `HashMap`, so two structurally equal
-/// instances can `Debug`-print their entries in different orders;
-/// this prints them through a `BTreeMap`. Round-trip tests (here and
-/// in dependents) compare artifacts through this, since the types
-/// deliberately do not implement `PartialEq`.
-#[must_use]
-pub fn accel_fingerprint(a: &AcceleratedKernel) -> String {
-    let controls: std::collections::BTreeMap<_, _> = a.ci_controls.iter().collect();
-    format!(
-        "{:?} {:?} {controls:?} {} {} {:?}",
-        a.config, a.program, a.custom_count, a.cycles, a.ise_checks
-    )
-}
-
-/// Order-stable rendering of a whole [`KernelVariants`]; see
-/// [`accel_fingerprint`].
-#[must_use]
-pub fn variants_fingerprint(kv: &KernelVariants) -> String {
-    use std::fmt::Write as _;
-    let mut s = format!("{} {:?} {} [", kv.name, kv.baseline, kv.baseline_cycles);
-    for v in &kv.variants {
-        let _ = write!(s, "{};", accel_fingerprint(v));
-    }
-    s.push(']');
-    s
-}
-
 /// Content key of a kernel compile: a SHA-256 over everything
 /// [`crate::compile_kernel`] consumes — the kernel name, the standalone
 /// program's encoded bytes, the configuration list, the optional output
@@ -324,8 +295,8 @@ pub fn kernel_input_key(
     Some(format!("k-{name}-{}", h.finalize_hex()))
 }
 
-/// Content key of a verify report, addressed by the compiled *output*:
-/// a SHA-256 over the encoded [`KernelVariants`] plus
+/// Key of the in-process verify memo, addressed by the compiled
+/// *output*: a SHA-256 over the encoded [`KernelVariants`] plus
 /// [`VERIFIER_VERSION`].
 #[must_use]
 pub fn verify_report_key(kv: &KernelVariants) -> Option<String> {
@@ -338,37 +309,13 @@ pub fn verify_report_key(kv: &KernelVariants) -> Option<String> {
     Some(format!("v-{}-{}", kv.name, h.finalize_hex()))
 }
 
-/// [`crate::verify_kernel`] backed by a persistent store: a valid stored
-/// report for this exact artifact content (and verifier version) is
-/// returned directly — and seeded into the in-process memo — otherwise
-/// the kernel is verified live and the report persisted for the next
-/// process.
-#[must_use]
-pub fn verify_kernel_stored(store: &ArtifactStore, kv: &KernelVariants) -> Report {
-    let Some(key) = verify_report_key(kv) else {
-        // Unencodable artifact: fall back to the live path entirely.
-        return verify_kernel_uncached(kv);
-    };
-    if let Some(payload) = store.load(&key) {
-        let mut v = RecView::new(&payload);
-        if let (Ok(report), Ok(())) = (get_report(&mut v), v.finish()) {
-            seed_verify_memo_keyed(key, report.clone());
-            return report;
-        }
-    }
-    let report = verify_kernel_keyed(kv, &key);
-    let mut rec = Rec::new();
-    put_report(&mut rec, &report);
-    // Persisting is best-effort: a full disk costs the next process a
-    // re-verify, never correctness.
-    let _ = store.store(&key, rec.as_bytes());
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compile_kernel, seed_verify_memo, stitch_application, verify_kernel, AppKernel};
+    use crate::{
+        compile_kernel, seed_verify_memo, stitch_application, verify_kernel,
+        verify_kernel_uncached, verify_memo_hits, AppKernel,
+    };
     use stitch_isa::{ProgramBuilder, Reg};
 
     fn sample_kernel() -> stitch_isa::Program {
@@ -395,7 +342,7 @@ mod tests {
         let report = verify_kernel(&kv);
         let bytes = encode_kernel_artifact(&kv, &report).expect("encode");
         let (kv2, report2) = decode_kernel_artifact(&bytes).expect("decode");
-        assert_eq!(variants_fingerprint(&kv), variants_fingerprint(&kv2));
+        assert_eq!(kv, kv2);
         assert_eq!(report, report2);
     }
 
@@ -469,7 +416,7 @@ mod tests {
         let mut v = RecView::new(&bytes);
         let plan2 = get_stitch_plan(&mut v).expect("decode");
         assert_eq!(v.finish(), Ok(()));
-        assert_eq!(format!("{plan:?}"), format!("{plan2:?}"));
+        assert_eq!(plan, plan2);
     }
 
     /// Counts that fit the remaining *bytes* but not the remaining
@@ -548,18 +495,30 @@ mod tests {
         );
     }
 
+    /// The report persists inside the kernel artifact under
+    /// [`kernel_input_key`]; reloading it reproduces the live verdict, and
+    /// seeding the memo with it makes the next gate an in-process hit.
     #[test]
     fn stored_verify_report_round_trips_and_seeds() {
         let dir =
             std::env::temp_dir().join(format!("stitch-verify-store-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = ArtifactStore::open(&dir).expect("open");
+        let store = stitch_cache::ArtifactStore::open(&dir).expect("open");
         let kv = sample_variants();
-        let cold = verify_kernel_stored(&store, &kv);
-        assert_eq!(cold, verify_kernel(&kv));
-        let warm = verify_kernel_stored(&store, &kv);
-        assert_eq!(cold, warm);
-        assert!(store.hits() >= 1, "second call must hit the store");
+        let key = kernel_input_key("artifact-test", &sample_kernel(), &PatchConfig::all(), None)
+            .expect("key");
+        let bytes = encode_kernel_artifact(&kv, &verify_kernel(&kv)).expect("encode");
+        store.store(&key, &bytes).expect("store");
+        let (decoded, report) =
+            decode_kernel_artifact(&store.load(&key).expect("load")).expect("decode");
+        assert_eq!(report, verify_kernel(&kv));
+        let hits = verify_memo_hits();
+        seed_verify_memo(&decoded, report);
+        let _ = verify_kernel(&decoded);
+        assert!(
+            verify_memo_hits() > hits,
+            "seeded report must be a memo hit"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

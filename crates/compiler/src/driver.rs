@@ -14,6 +14,7 @@ use crate::enumerate::{enumerate_candidates, EnumerateLimits};
 use crate::mapper::{map_candidate, PatchConfig};
 use crate::profile::profile_program;
 use crate::rewrite::{rewrite_program, select_candidates, Chosen};
+use crate::verify::verify_variant;
 use crate::{CompilerError, HOT_THRESHOLD};
 use std::collections::HashMap;
 use stitch_isa::program::Program;
@@ -26,7 +27,7 @@ use stitch_sim::{Chip, ChipConfig, CiBinding, Topology};
 const MEASURE_BUDGET: u64 = 200_000_000;
 
 /// An accelerated variant of one kernel.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcceleratedKernel {
     /// Configuration compiled for.
     pub config: PatchConfig,
@@ -90,7 +91,7 @@ impl AcceleratedKernel {
 }
 
 /// All compiled variants of one kernel, plus the baseline measurement.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelVariants {
     /// Kernel name.
     pub name: String,
@@ -174,9 +175,16 @@ pub fn compile_kernel(
 /// Runs the compile flow (no measurement) for each configuration,
 /// keeping variants that inserted at least one custom instruction.
 ///
+/// This is where every synthesized mapping is proven: each variant must
+/// pass the W32 lints and `stitch_verify::check_ise` on every custom
+/// instruction before it is returned.
+///
 /// # Errors
 ///
-/// Propagates profiling and rewrite failures.
+/// Propagates profiling and rewrite failures. A variant that fails the
+/// proof — e.g. a mapping whose control words do not compute its
+/// candidate (ISE-DIFF) — fails the whole compile with
+/// [`CompilerError::Verify`]; it is never silently dropped.
 pub fn accelerate_all(
     name: &str,
     program: &Program,
@@ -228,10 +236,7 @@ pub fn accelerate_all(
         // Static verification gate: the rewritten program must pass the
         // W32 dataflow lints and every custom instruction must be
         // independently proven equivalent to the subgraph it replaced.
-        let mut report = stitch_verify::check_program(&rewritten.program);
-        for check in &rewritten.ise_checks {
-            report.merge(stitch_verify::check_ise(check));
-        }
+        let report = verify_variant(&rewritten.program, &rewritten.ise_checks);
         if !report.is_clean() {
             return Err(CompilerError::Verify(report));
         }

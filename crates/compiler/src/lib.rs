@@ -26,8 +26,9 @@
 //!    multi-kernel application;
 //! 10. [`verify`] — the bridge into the `stitch-verify` static-analysis
 //!     suite: every compiled artifact is linted and every custom
-//!     instruction independently re-proven equivalent to the subgraph it
-//!     replaced, before any simulation;
+//!     instruction independently proven equivalent to the subgraph it
+//!     replaced, before any simulation (the mapper itself does not test
+//!     its mappings);
 //! 11. [`artifact`] — persistent, content-addressed artifacts: codecs
 //!     for the compiler's output types plus the SHA-256 input keys that
 //!     let a warm run reload a verified kernel instead of recompiling.
@@ -44,10 +45,7 @@ pub mod rewrite;
 pub mod stitcher;
 pub mod verify;
 
-pub use artifact::{
-    accel_fingerprint, decode_kernel_artifact, encode_kernel_artifact, kernel_input_key,
-    variants_fingerprint, verify_kernel_stored,
-};
+pub use artifact::{decode_kernel_artifact, encode_kernel_artifact, kernel_input_key};
 pub use cfg::{BasicBlock, Cfg};
 pub use dfg::{BlockDfg, NodeOp, Src};
 pub use driver::{accelerate_all, compile_kernel, AcceleratedKernel, KernelVariants};

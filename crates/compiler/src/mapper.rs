@@ -12,13 +12,14 @@
 //! 3. per-class control-word synthesis honoring every operand-mux option
 //!    of the 19-bit encodings (including pass-through tricks: `or(x, x)`
 //!    on an idle ALU, shifter bypass, and `add(x, unused-slot)` — unused
-//!    operand slots read the zero register),
+//!    operand slots read the zero register).
 //!
-//! and then **verifies each synthesized mapping by differential
-//! evaluation**: the control words are executed on random inputs and
-//! random scratchpad contents and compared against a direct
-//! interpretation of the candidate DFG. Only verified mappings are
-//! emitted, so a synthesis bug can never produce a wrong custom
+//! The mapper only synthesizes: it does not prove its mappings.
+//! [`crate::accelerate_all`] proves every mapping that reaches a
+//! rewritten program with `stitch_verify::check_ise` (structural checks,
+//! differential trials and a symbolic check against the candidate DFG),
+//! and an unsound mapping fails the compile with
+//! [`crate::CompilerError::Verify`] instead of shipping a wrong custom
 //! instruction.
 
 use crate::dfg::{BlockDfg, NodeOp, Src};
@@ -27,8 +28,7 @@ use std::collections::HashMap;
 use stitch_isa::op::AluOp;
 use stitch_patch::control::{Sel4, Stage1};
 use stitch_patch::{
-    eval_fused, eval_single, AtAsControl, AtMaControl, AtSaControl, ControlWord, LocusControl,
-    LocusOp, MapSpm, PatchClass, SpmPort, T1Mode,
+    AtAsControl, AtMaControl, AtSaControl, ControlWord, LocusControl, LocusOp, PatchClass, T1Mode,
 };
 
 /// A patch configuration a kernel can be compiled for.
@@ -667,105 +667,6 @@ fn slot_maps(ext: &[CSrc], pinned: &Pinned) -> Vec<SlotMap> {
 }
 
 // ---------------------------------------------------------------------
-// Differential verification
-// ---------------------------------------------------------------------
-
-struct XorShift(u32);
-
-impl XorShift {
-    fn next(&mut self) -> u32 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 17;
-        x ^= x << 5;
-        self.0 = x;
-        x
-    }
-}
-
-/// Interprets the candidate DFG directly (reference semantics).
-fn reference_eval(view: &View, ext_vals: &HashMap<Src, u32>, spm: &mut MapSpm) -> Option<Vec<u32>> {
-    let mut vals = vec![None::<u32>; view.nodes.len()];
-    for (i, node) in view.nodes.iter().enumerate() {
-        let get = |s: CSrc, vals: &[Option<u32>]| -> Option<u32> {
-            match s {
-                CSrc::Internal(j) => vals[j],
-                CSrc::External(e) => ext_vals.get(&e).copied(),
-                CSrc::Busy => None,
-            }
-        };
-        let v = match node.op {
-            NodeOp::Alu(op) => op.eval(get(node.srcs[0], &vals)?, get(node.srcs[1], &vals)?),
-            NodeOp::Load => spm.load(get(node.srcs[0], &vals)?),
-            NodeOp::Store => {
-                let addr = get(node.srcs[0], &vals)?;
-                let data = get(node.srcs[1], &vals)?;
-                spm.store(addr, data);
-                addr
-            }
-            NodeOp::Other => return None,
-        };
-        vals[i] = Some(v);
-    }
-    Some(vals.into_iter().map(|v| v.unwrap_or(0)).collect())
-}
-
-/// Verifies a mapping by evaluating its control words against the
-/// reference on random inputs (16 trials).
-fn verify(view: &View, mapping: &Mapping) -> bool {
-    let mut rng = XorShift(0x5EED_1234);
-    for _ in 0..16 {
-        let mut ext_vals: HashMap<Src, u32> = HashMap::new();
-        for e in &view.ext {
-            // Keep values word-aligned and in-window so address-feeding
-            // inputs stay inside the mock scratchpad.
-            ext_vals.insert(*e, (rng.next() % 1024) & !3);
-        }
-        let mut ref_spm = MapSpm::new();
-        let mut hw_spm = MapSpm::new();
-        for i in 0..512 {
-            let v = rng.next();
-            ref_spm.set(i * 4, v);
-            hw_spm.set(i * 4, v);
-        }
-        let Some(ref_vals) = reference_eval(view, &ext_vals, &mut ref_spm) else {
-            return false;
-        };
-
-        let mut ins = [0u32; 4];
-        for (i, slot) in mapping.input_slots.iter().enumerate() {
-            if let Some(src) = slot {
-                ins[i] = ext_vals.get(src).copied().unwrap_or(0);
-            }
-        }
-        let out = match mapping.controls.as_slice() {
-            [c] => eval_single(c, ins, &mut hw_spm),
-            [c1, c2] => eval_fused(c1, c2, ins, &mut hw_spm),
-            _ => return false,
-        };
-
-        for (node_id, port) in &mapping.outputs {
-            let Some(pos) = view.nodes.iter().position(|n| n.id == *node_id) else {
-                return false;
-            };
-            let got = match port {
-                OutPort::Out0 => out.out0,
-                OutPort::Out1 => out.out1,
-            };
-            if ref_vals[pos] != got {
-                return false;
-            }
-        }
-        for i in 0..1024 {
-            if ref_spm.get(i * 4) != hw_spm.get(i * 4) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-// ---------------------------------------------------------------------
 // Public entry points
 // ---------------------------------------------------------------------
 
@@ -805,7 +706,9 @@ impl ViewKey {
 static MAP_CACHE: std::sync::OnceLock<std::sync::Mutex<HashMap<ViewKey, Option<Mapping>>>> =
     std::sync::OnceLock::new();
 
-/// Tries to map `cand` onto `config`, returning a verified [`Mapping`].
+/// Tries to map `cand` onto `config`, returning a synthesized
+/// [`Mapping`]. The mapping is not proven here: [`crate::accelerate_all`]
+/// proves each one it ships with `stitch_verify::check_ise`.
 #[must_use]
 pub fn map_candidate(dfg: &BlockDfg, cand: &Candidate, config: PatchConfig) -> Option<Mapping> {
     let view = build_view(dfg, cand);
@@ -822,8 +725,7 @@ pub fn map_candidate(dfg: &BlockDfg, cand: &Candidate, config: PatchConfig) -> O
         PatchConfig::Single(class) => map_single_view(&view, class),
         PatchConfig::Pair(a, b) => map_pair_view(&view, a, b),
         PatchConfig::Locus => map_locus_view(&view),
-    }
-    .filter(|m| verify(&view, m));
+    };
     cache
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -1426,9 +1328,8 @@ mod tests {
 
     #[test]
     fn all_mappings_verified_via_every_config() {
-        // Broad smoke test: any candidate that maps must verify (the
-        // verify call is inside map_candidate; a synthesis bug panics
-        // nothing but produces None — here we just count successes).
+        // Every mapping the synthesizer emits, under every configuration,
+        // must pass the same equivalence proof `accelerate_all` gates on.
         let (dfg, cands) = setup(|b| {
             b.li(Reg::R1, i64::from(SPM_BASE));
             b.add(Reg::R2, Reg::R1, Reg::R9);
@@ -1441,9 +1342,17 @@ mod tests {
         let mut mapped = 0;
         for cand in &cands {
             for cfg in PatchConfig::all() {
-                if map_candidate(&dfg, cand, cfg).is_some() {
-                    mapped += 1;
-                }
+                let Some(mapping) = map_candidate(&dfg, cand, cfg) else {
+                    continue;
+                };
+                let chosen = crate::rewrite::Chosen {
+                    candidate: cand.clone(),
+                    mapping,
+                };
+                let check = crate::verify::ise_check("t", 0, &dfg, &chosen).expect("adapter");
+                let report = stitch_verify::check_ise(&check);
+                assert!(report.is_clean(), "{cfg}: {report}");
+                mapped += 1;
             }
         }
         assert!(mapped > 0, "at least some mappings must exist");

@@ -195,12 +195,6 @@ pub fn accelerate_block(
             let id = CiId(ci_base + ci_idx as u16);
             // Inputs: registers holding each slot's value.
             let mut ins: Vec<Reg> = Vec::new();
-            let mut slot_count = 0;
-            for slot in &c.mapping.input_slots {
-                if slot.is_some() {
-                    slot_count += 1;
-                }
-            }
             // Trailing unused slots can be omitted; intermediate unused
             // slots are filled with r0 (they read zero).
             let last_used = c
@@ -219,7 +213,6 @@ pub fn accelerate_block(
                 };
                 ins.push(reg);
             }
-            let _ = slot_count;
             // Outputs in port order (out0 first).
             let mut outs: Vec<Reg> = Vec::new();
             let mut port_regs: [Option<Reg>; 2] = [None, None];

@@ -18,6 +18,7 @@ use crate::CompilerError;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use stitch_isa::Program;
 use stitch_verify::{
     check_ise, check_program, IseCheck, IseMapping, IseNode, IseOp, IseOperand, IseOut,
     IseSubgraph, Report,
@@ -146,22 +147,16 @@ pub fn verify_memo_hits() -> u64 {
 /// [`verify_kernel_uncached`] to force a re-analysis.
 #[must_use]
 pub fn verify_kernel(kv: &KernelVariants) -> Report {
-    match verify_report_key(kv) {
-        Some(key) => verify_kernel_keyed(kv, &key),
-        // Unencodable artifact: no key to memoize under.
-        None => verify_kernel_uncached(kv),
-    }
-}
-
-/// [`verify_kernel`] for a caller that already holds `kv`'s
-/// [`verify_report_key`].
-pub(crate) fn verify_kernel_keyed(kv: &KernelVariants, key: &str) -> Report {
-    if let Some(report) = memo().get(key).cloned() {
+    // Unencodable artifact: no key to memoize under.
+    let Some(key) = verify_report_key(kv) else {
+        return verify_kernel_uncached(kv);
+    };
+    if let Some(report) = memo().get(&key).cloned() {
         MEMO_HITS.fetch_add(1, Ordering::Relaxed);
         return report;
     }
     let report = verify_kernel_uncached(kv);
-    memo().insert(key.to_owned(), report.clone());
+    memo().insert(key, report.clone());
     report
 }
 
@@ -170,14 +165,8 @@ pub(crate) fn verify_kernel_keyed(kv: &KernelVariants, key: &str) -> Report {
 /// [`verify_kernel`] gates on the same content stay in-process hits.
 pub fn seed_verify_memo(kv: &KernelVariants, report: Report) {
     if let Some(key) = verify_report_key(kv) {
-        seed_verify_memo_keyed(key, report);
+        memo().insert(key, report);
     }
-}
-
-/// [`seed_verify_memo`] under an already computed
-/// [`verify_report_key`].
-pub(crate) fn seed_verify_memo_keyed(key: String, report: Report) {
-    memo().insert(key, report);
 }
 
 /// [`verify_kernel`] without the in-process memo: always re-runs every
@@ -186,10 +175,20 @@ pub(crate) fn seed_verify_memo_keyed(key: String, report: Report) {
 pub fn verify_kernel_uncached(kv: &KernelVariants) -> Report {
     let mut report = check_program(&kv.baseline);
     for v in &kv.variants {
-        report.merge(check_program(&v.program));
-        for c in &v.ise_checks {
-            report.merge(check_ise(c));
-        }
+        report.merge(verify_variant(&v.program, &v.ise_checks));
+    }
+    report
+}
+
+/// What "a variant is proven" means: the rewritten `program` passes the
+/// dataflow lints and every custom instruction's obligation in `checks`
+/// passes [`check_ise`]. [`crate::accelerate_all`] gates each variant on
+/// this before it ships, and [`verify_kernel_uncached`] re-runs it.
+#[must_use]
+pub(crate) fn verify_variant(program: &Program, checks: &[IseCheck]) -> Report {
+    let mut report = check_program(program);
+    for c in checks {
+        report.merge(check_ise(c));
     }
     report
 }

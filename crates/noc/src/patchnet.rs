@@ -9,7 +9,7 @@
 //! that static model: circuit reservation with conflict detection, plus
 //! the configuration-register encoding.
 
-use crate::{PortDir as Dir, TileId, Topology};
+use crate::{TileId, Topology};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -634,11 +634,6 @@ fn dir_between(topo: Topology, a: TileId, b: TileId) -> PortDir {
         PortDir::North
     }
 }
-
-// `Dir` alias is used by the mesh module; silence unused import warning
-// when compiled alone.
-#[allow(unused)]
-fn _use_dir(_: Dir) {}
 
 #[cfg(test)]
 mod tests {

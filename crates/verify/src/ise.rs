@@ -103,11 +103,13 @@ pub struct IseCheck {
     pub mapping: IseMapping,
 }
 
-/// Number of random trials of the differential interpreter. The
-/// mapper's own internal check runs 16; the independent verifier runs
-/// more, from a different seed.
+/// Number of random trials of the differential interpreter. This is
+/// the only differential check a mapping gets: the compiler's mapper
+/// synthesizes without testing, and its `accelerate_all` gate runs this
+/// check (with the structural and symbolic ones) on every custom
+/// instruction it ships.
 const DIFF_TRIALS: u64 = 64;
-/// SPM words preset per trial (matches the mapper's image size).
+/// SPM words preset per trial.
 const SPM_PRESET_WORDS: u32 = 512;
 /// SPM words compared after each trial.
 const SPM_COMPARE_WORDS: u32 = 1024;

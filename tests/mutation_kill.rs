@@ -189,10 +189,7 @@ mod artifact_cache {
         let report_warm = warm
             .verify_app(&app, Arch::Stitch, DEFAULT_FRAMES)
             .expect("gate runs");
-        assert_eq!(
-            stitch_compiler::variants_fingerprint(&kv_cold),
-            stitch_compiler::variants_fingerprint(&kv_warm)
-        );
+        assert_eq!(kv_cold, kv_warm);
         assert_eq!(report_cold, report_warm);
         assert!(store.hits() > hits_cold, "warm pass must hit the store");
 
