@@ -1,10 +1,8 @@
 //! SHA-256, self-contained.
 //!
 //! The artifact store keys entries by a *strong* content hash so that a
-//! cache hit is evidence the inputs are byte-identical — the in-process
-//! verify memo's double-FNV key is fine for a per-run table but too weak
-//! to gate persistent reuse across processes. FIPS 180-4, streaming
-//! interface, no dependencies.
+//! cache hit is evidence the inputs are byte-identical across
+//! processes. FIPS 180-4, streaming interface, no dependencies.
 
 /// Streaming SHA-256 hasher.
 #[derive(Debug, Clone)]

@@ -11,10 +11,8 @@
 //!   verification entirely: same inputs, same artifact. This key
 //!   addresses kernel artifacts in a `stitch_cache::ArtifactStore`;
 //!   the report is stored inside the artifact, never on its own.
-//! * [`verify_report_key`] hashes the compiled *output* (the encoded
-//!   [`KernelVariants`]); it keys the in-process verify memo only.
 //!
-//! Both keys fold in [`VERIFIER_VERSION`], so upgrading the static
+//! The key folds in [`VERIFIER_VERSION`], so upgrading the static
 //! analyses retires every stored verdict at once. Decoding never
 //! trusts: the `get_*` decoders return a typed [`DecodeError`] for any
 //! malformed byte, and at the store boundary such an artifact reads as
@@ -295,26 +293,12 @@ pub fn kernel_input_key(
     Some(format!("k-{name}-{}", h.finalize_hex()))
 }
 
-/// Key of the in-process verify memo, addressed by the compiled
-/// *output*: a SHA-256 over the encoded [`KernelVariants`] plus
-/// [`VERIFIER_VERSION`].
-#[must_use]
-pub fn verify_report_key(kv: &KernelVariants) -> Option<String> {
-    let mut rec = Rec::new();
-    put_kernel_variants(&mut rec, kv)?;
-    let mut h = Sha256::new();
-    h.field(b"stitch-verify-report");
-    h.field(&VERIFIER_VERSION.to_le_bytes());
-    h.field(rec.as_bytes());
-    Some(format!("v-{}-{}", kv.name, h.finalize_hex()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{
-        compile_kernel, seed_verify_memo, stitch_application, verify_kernel,
-        verify_kernel_uncached, verify_memo_hits, AppKernel,
+        compile_kernel, seed_verify_memo, stitch_application, verify_kernel, verify_memo_hits,
+        AppKernel,
     };
     use stitch_isa::{ProgramBuilder, Reg};
 
@@ -356,11 +340,13 @@ mod tests {
         assert_eq!(encode_kernel_artifact(&kv2, &report2), Some(bytes));
     }
 
-    /// The verify memo keys by structure, not by `Debug` text: a decoded
-    /// artifact has freshly built `ci_controls` maps (their own iteration
-    /// order) and must still hit the memo entry the original seeded.
+    /// A stored report vouches for its artifact's obligations only when
+    /// it is empty. The decoded artifact here carries defective copies
+    /// of its obligations, which no proof can pass and no other test
+    /// builds: each gains an unwired external input and has slot 0
+    /// rewired to it.
     #[test]
-    fn decoded_variants_hit_the_memo_seeded_by_the_original() {
+    fn seeded_report_marks_obligations_proven_only_when_empty() {
         let kv = compile_kernel(
             "memo-roundtrip",
             &sample_kernel(),
@@ -368,19 +354,36 @@ mod tests {
             None,
         )
         .expect("compiles");
-        let report = verify_kernel_uncached(&kv);
-        let bytes = encode_kernel_artifact(&kv, &report).expect("encode");
-        let (decoded, _) = decode_kernel_artifact(&bytes).expect("decode");
-        // No live verification emits this sentinel, so getting it back
-        // proves the decoded artifact was served from the memo.
-        let mut sentinel = report;
-        sentinel.push(stitch_verify::Diagnostic::warning(
-            "MEMO-SENTINEL",
+        let bytes = encode_kernel_artifact(&kv, &verify_kernel(&kv)).expect("encode");
+        let (mut decoded, _) = decode_kernel_artifact(&bytes).expect("decode");
+        let checks = decoded.variants.iter_mut().flat_map(|v| &mut v.ise_checks);
+        for c in checks.filter(|c| c.subgraph.n_ext < 4) {
+            c.mapping.input_slots[0] = Some(c.subgraph.n_ext);
+            c.subgraph.n_ext += 1;
+        }
+        let obligations = || decoded.variants.iter().flat_map(|v| &v.ise_checks);
+        let defects = obligations()
+            .filter(|c| !stitch_verify::check_ise(c).is_clean())
+            .count();
+        assert!(defects > 0, "some rewired obligation must be defective");
+
+        // A report with a diagnostic skips no proof: every defect is
+        // found again.
+        let mut flagged = Report::new();
+        flagged.push(stitch_verify::Diagnostic::warning(
+            "W32-DEAD",
             stitch_verify::Span::None,
-            "seeded by the original artifact",
+            "a stored advisory",
         ));
-        seed_verify_memo(&kv, sentinel.clone());
-        assert_eq!(verify_kernel(&decoded), sentinel);
+        seed_verify_memo(&decoded, flagged);
+        assert_eq!(verify_kernel(&decoded).error_count(), defects);
+
+        // An empty report marks every obligation proven, defects
+        // included: each is then a memo hit.
+        let hits = verify_memo_hits();
+        seed_verify_memo(&decoded, Report::new());
+        assert!(verify_kernel(&decoded).is_clean());
+        assert!(verify_memo_hits() - hits >= obligations().count() as u64);
     }
 
     #[test]

@@ -57,9 +57,7 @@ pub use rewrite::{accelerate_block, rewrite_program, select_candidates, Chosen, 
 pub use stitcher::{
     stitch_application, stitch_application_masked, AppKernel, GrantedAccel, StitchPlan,
 };
-pub use verify::{
-    ise_check, seed_verify_memo, verify_kernel, verify_kernel_uncached, verify_memo_hits,
-};
+pub use verify::{ise_check, seed_verify_memo, verify_kernel, verify_memo_hits};
 
 use std::fmt;
 

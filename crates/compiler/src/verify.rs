@@ -9,19 +9,15 @@
 //! variant, plus an independent equivalence check of every custom
 //! instruction.
 
-use crate::artifact::verify_report_key;
 use crate::dfg::{BlockDfg, NodeOp, Src};
 use crate::driver::KernelVariants;
 use crate::mapper::OutPort;
 use crate::rewrite::Chosen;
 use crate::CompilerError;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use stitch_isa::Program;
 use stitch_verify::{
-    check_ise, check_program, IseCheck, IseMapping, IseNode, IseOp, IseOperand, IseOut,
-    IseSubgraph, Report,
+    check_ise, check_program, mark_proven, IseCheck, IseMapping, IseNode, IseOp, IseOperand,
+    IseOut, IseSubgraph, Report,
 };
 
 /// Converts a chosen candidate + mapping into the verifier's neutral
@@ -111,26 +107,12 @@ pub fn ise_check(
     })
 }
 
-/// Process-global memo of [`verify_kernel`] reports, keyed by the
-/// structural [`verify_report_key`] of the artifact. Shared across
-/// workbench clones (sweep workers re-verify the same prewarmed
-/// kernels), bounded by the number of distinct kernels a process
-/// compiles.
-fn memo() -> MutexGuard<'static, HashMap<String, Report>> {
-    static MEMO: OnceLock<Mutex<HashMap<String, Report>>> = OnceLock::new();
-    MEMO.get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
-/// [`verify_kernel`] calls served from the in-process memo so far.
-static MEMO_HITS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of [`verify_kernel`] calls served from the in-process memo
-/// (diagnostic, e.g. for benchmark reports).
+/// Number of [`check_ise`] calls in this process that the verifier's
+/// proof memo answered without a proof (diagnostic, e.g. for benchmark
+/// reports). Reads 0 in a fresh process.
 #[must_use]
 pub fn verify_memo_hits() -> u64 {
-    MEMO_HITS.load(Ordering::Relaxed)
+    stitch_verify::ise_memo_hits()
 }
 
 /// Full static verification of one compiled kernel: dataflow lints over
@@ -141,38 +123,10 @@ pub fn verify_memo_hits() -> u64 {
 /// artifact the compiler emits; the driver gates on this before any
 /// measurement, and the fuzz harness re-checks it as an oracle.
 ///
-/// Reports are memoized in-process by [`verify_report_key`], so
-/// repeated gates on identical kernels (sweep workers each cloning a
-/// prewarmed workbench) are cache hits; use
-/// [`verify_kernel_uncached`] to force a re-analysis.
+/// Each obligation is proven at most once per process ([`check_ise`]),
+/// so re-verifying a kernel the driver already gated costs its lints.
 #[must_use]
 pub fn verify_kernel(kv: &KernelVariants) -> Report {
-    // Unencodable artifact: no key to memoize under.
-    let Some(key) = verify_report_key(kv) else {
-        return verify_kernel_uncached(kv);
-    };
-    if let Some(report) = memo().get(&key).cloned() {
-        MEMO_HITS.fetch_add(1, Ordering::Relaxed);
-        return report;
-    }
-    let report = verify_kernel_uncached(kv);
-    memo().insert(key, report.clone());
-    report
-}
-
-/// Seeds the in-process memo with an already-known report for `kv`,
-/// e.g. one reloaded from the persistent artifact store — so later
-/// [`verify_kernel`] gates on the same content stay in-process hits.
-pub fn seed_verify_memo(kv: &KernelVariants, report: Report) {
-    if let Some(key) = verify_report_key(kv) {
-        memo().insert(key, report);
-    }
-}
-
-/// [`verify_kernel`] without the in-process memo: always re-runs every
-/// check. The benchmark harness uses this to time pure verification.
-#[must_use]
-pub fn verify_kernel_uncached(kv: &KernelVariants) -> Report {
     let mut report = check_program(&kv.baseline);
     for v in &kv.variants {
         report.merge(verify_variant(&v.program, &v.ise_checks));
@@ -180,10 +134,23 @@ pub fn verify_kernel_uncached(kv: &KernelVariants) -> Report {
     report
 }
 
+/// Records the obligations of `kv` as proven when `report`, e.g. one
+/// reloaded with `kv` from the persistent artifact store, is empty, so
+/// later [`verify_kernel`] gates on the same content skip their proofs.
+/// A report with any diagnostic vouches for nothing.
+pub fn seed_verify_memo(kv: &KernelVariants, report: Report) {
+    if report.is_empty() {
+        kv.variants
+            .iter()
+            .flat_map(|v| &v.ise_checks)
+            .for_each(mark_proven);
+    }
+}
+
 /// What "a variant is proven" means: the rewritten `program` passes the
 /// dataflow lints and every custom instruction's obligation in `checks`
 /// passes [`check_ise`]. [`crate::accelerate_all`] gates each variant on
-/// this before it ships, and [`verify_kernel_uncached`] re-runs it.
+/// this before it ships, and [`verify_kernel`] re-runs it.
 #[must_use]
 pub(crate) fn verify_variant(program: &Program, checks: &[IseCheck]) -> Report {
     let mut report = check_program(program);
@@ -251,23 +218,28 @@ mod tests {
             None,
         )
         .expect("compiles");
+        let count = |kv: &KernelVariants| -> u64 {
+            kv.variants.iter().map(|v| v.ise_checks.len() as u64).sum()
+        };
+        assert!(count(&kv) > 0, "the kernel carries custom instructions");
+        // The compile gate proved every obligation, so re-verifying the
+        // kernel answers each one from the proof memo.
         let before = verify_memo_hits();
         let first = verify_kernel(&kv);
-        let second = verify_kernel(&kv);
-        assert_eq!(first, second);
-        assert_eq!(first, verify_kernel_uncached(&kv));
-        assert!(
-            verify_memo_hits() > before,
-            "second call must be a memo hit"
-        );
-        // A distinct artifact must key differently, not collide.
-        let kv2 = compile_kernel(
+        assert!(first.is_clean(), "{first}");
+        assert!(verify_memo_hits() - before >= count(&kv));
+        assert_eq!(first, verify_kernel(&kv));
+        // The memo keys by content: the same kernel under another name
+        // carries the same obligations, and its compile proves none anew.
+        let before = verify_memo_hits();
+        let renamed = compile_kernel(
             "memo-test-2",
             &p,
-            &[PatchConfig::Single(PatchClass::AtSa)],
+            &[PatchConfig::Single(PatchClass::AtMa)],
             None,
         )
         .expect("compiles");
-        assert_ne!(verify_report_key(&kv), verify_report_key(&kv2));
+        assert_eq!(count(&renamed), count(&kv));
+        assert!(verify_memo_hits() - before >= count(&kv));
     }
 }

@@ -50,7 +50,7 @@ fn s_op_code(op: Option<AluOp>) -> Option<u32> {
 }
 
 /// LMAU mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum T1Mode {
     /// Pass the ALU result through.
     #[default]
@@ -84,7 +84,7 @@ impl T1Mode {
 pub type InSel = u8; // 0..=3
 
 /// Selector over `{A1, T1, in2, in3}` used by stage-2 operand muxes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Sel4 {
     /// Stage-1 ALU output.
     A1,
@@ -117,7 +117,7 @@ impl Sel4 {
 }
 
 /// Common stage-1 configuration (`A1` + `T1`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Stage1 {
     /// A-class operation of `A1`.
     pub a1_op: AluOp,
@@ -173,7 +173,7 @@ impl Stage1 {
 /// [16:14] a2_op
 /// [18:17] a2_src2  Sel4
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AtMaControl {
     /// Stage-1 configuration.
     pub s1: Stage1,
@@ -212,7 +212,7 @@ impl Default for AtMaControl {
 /// [17:16] s_op     0=sll 1=srl 2=sra 3=bypass
 /// [18]    s_amt    0 = in2, 1 = in3 (shift amount source)
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AtAsControl {
     /// Stage-1 configuration.
     pub s1: Stage1,
@@ -250,7 +250,7 @@ impl Default for AtAsControl {
 /// [16:14] a2_op
 /// [18:17] a2_src2  Sel4 (a2_src1 is the shifter output, fixed)
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AtSaControl {
     /// Stage-1 configuration.
     pub s1: Stage1,
@@ -280,7 +280,7 @@ impl Default for AtSaControl {
 }
 
 /// One micro-operation of the LOCUS SFU chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LocusOp {
     /// Operation (any A/S-class op; like CCA's adder/logic/shift
     /// triangle, the SFU has neither a multiplier nor memory access).
@@ -298,14 +298,14 @@ pub struct LocusOp {
 ///
 /// The SFU result `out0` is the last micro-op's output; `out1` is the
 /// first micro-op's output.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct LocusControl {
     /// The micro-op chain (1..=3 entries).
     pub ops: Vec<LocusOp>,
 }
 
 /// A decoded patch control word, tied to its class.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ControlWord {
     /// `{AT-MA}` configuration.
     AtMa(AtMaControl),

@@ -14,11 +14,27 @@ pub trait SpmPort {
     fn store(&mut self, offset: u32, value: u32);
 }
 
+/// Word offsets below this bound live in a dense array: the low 4 KiB,
+/// which covers every word the ISE differential check presets and
+/// compares. Offsets above it fall back to a sparse map.
+const DENSE_WORDS: usize = 1024;
+
 /// A simple in-memory [`SpmPort`] for tests and the compiler's speedup
-/// estimation.
-#[derive(Debug, Clone, Default)]
+/// estimation. Every word reads 0 until written; offsets are rounded
+/// down to a word boundary.
+#[derive(Debug, Clone)]
 pub struct MapSpm {
-    words: HashMap<u32, u32>,
+    dense: Vec<u32>,
+    sparse: HashMap<u32, u32>,
+}
+
+impl Default for MapSpm {
+    fn default() -> Self {
+        Self {
+            dense: vec![0; DENSE_WORDS],
+            sparse: HashMap::new(),
+        }
+    }
 }
 
 impl MapSpm {
@@ -30,13 +46,21 @@ impl MapSpm {
 
     /// Pre-populates a word (word-aligned byte offset).
     pub fn set(&mut self, offset: u32, value: u32) {
-        self.words.insert(offset & !3, value);
+        match self.dense.get_mut((offset / 4) as usize) {
+            Some(word) => *word = value,
+            None => {
+                self.sparse.insert(offset & !3, value);
+            }
+        }
     }
 
     /// Reads back a word without counting as an access.
     #[must_use]
     pub fn get(&self, offset: u32) -> u32 {
-        self.words.get(&(offset & !3)).copied().unwrap_or(0)
+        match self.dense.get((offset / 4) as usize) {
+            Some(&word) => word,
+            None => self.sparse.get(&(offset & !3)).copied().unwrap_or(0),
+        }
     }
 }
 
@@ -201,6 +225,35 @@ mod tests {
 
     fn ins(a: u32, b: u32, c: u32, d: u32) -> [u32; 4] {
         [a, b, c, d]
+    }
+
+    #[test]
+    fn map_spm_is_word_addressed_across_the_dense_window() {
+        let mut spm = MapSpm::new();
+        // 4092 is the last dense word, 4096 the first sparse one.
+        assert_eq!(DENSE_WORDS * 4, 4096);
+        for (offset, value) in [(4092, 1), (4096, 2), (0xFFFF_FFFC, 3)] {
+            assert_eq!(spm.get(offset), 0, "unwritten word {offset:#x} reads 0");
+            spm.set(offset, value);
+            assert_eq!(spm.get(offset), value);
+        }
+        // Unaligned offsets address the word that contains them, on both
+        // sides of the boundary.
+        spm.set(4094, 11);
+        assert_eq!(spm.get(4092), 11);
+        spm.set(4099, 12);
+        assert_eq!(spm.get(4096), 12);
+        assert_eq!(spm.get(0xFFFF_FFFF), 3);
+        assert_eq!(spm.get(4100), 0, "the word after a sparse write stays 0");
+        // A clone is independent of the original in both tiers.
+        let mut copy = spm.clone();
+        copy.set(4092, 21);
+        copy.set(4096, 22);
+        assert_eq!((spm.get(4092), spm.get(4096)), (11, 12));
+        assert_eq!((copy.get(4092), copy.get(4096)), (21, 22));
+        // The port view agrees with `get`/`set`.
+        SpmPort::store(&mut spm, 0x2001, 7);
+        assert_eq!(SpmPort::load(&mut spm, 0x2000), 7);
     }
 
     #[test]

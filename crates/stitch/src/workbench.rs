@@ -245,8 +245,9 @@ impl Workbench {
     /// SHA-256 content hash over their *inputs* plus the verifier
     /// version) and reloaded on later runs — including by other
     /// processes — so warm sweeps skip the compile + verify pipeline
-    /// entirely. Reloaded verify reports also seed the in-process
-    /// verify memo. Sweep-worker clones share the store (and its
+    /// entirely. A reloaded empty verify report also marks the
+    /// kernel's ISE obligations proven in this process. Sweep-worker
+    /// clones share the store (and its
     /// hit/miss counters) through the `Arc`.
     ///
     /// The store is a cache, never an oracle: any invalid file reads

@@ -27,11 +27,15 @@
 //! dead code it replaced.
 
 use crate::diag::{Diagnostic, Report, Span};
+use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use stitch_isa::AluOp;
 use stitch_patch::{eval_fused, eval_single, ControlWord, MapSpm, Sel4};
 
 /// Operation of one subgraph node, mirroring the compiler's DFG ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IseOp {
     /// ALU/shift/multiply operation on two operands.
     Alu(AluOp),
@@ -43,7 +47,7 @@ pub enum IseOp {
 }
 
 /// Operand of a subgraph node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IseOperand {
     /// Result of an earlier node of the same subgraph.
     Node(usize),
@@ -52,7 +56,7 @@ pub enum IseOperand {
 }
 
 /// One node of the replaced dataflow subgraph.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct IseNode {
     /// Operation.
     pub op: IseOp,
@@ -61,7 +65,7 @@ pub struct IseNode {
 }
 
 /// The replaced subgraph, in topological order.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct IseSubgraph {
     /// Nodes; operands may only reference earlier nodes.
     pub nodes: Vec<IseNode>,
@@ -70,7 +74,7 @@ pub struct IseSubgraph {
 }
 
 /// Which patch output carries a result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IseOut {
     /// Stage-2 result.
     Out0,
@@ -80,7 +84,7 @@ pub enum IseOut {
 
 /// The mapping side of the obligation: control words plus the operand
 /// wiring chosen by the mapper.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct IseMapping {
     /// One control word per patch (two for a fused pair).
     pub controls: Vec<ControlWord>,
@@ -91,7 +95,7 @@ pub struct IseMapping {
 }
 
 /// One custom instruction's complete equivalence obligation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IseCheck {
     /// Kernel or candidate name (diagnostics only).
     pub name: String,
@@ -113,6 +117,70 @@ const DIFF_TRIALS: u64 = 64;
 const SPM_PRESET_WORDS: u32 = 512;
 /// SPM words compared after each trial.
 const SPM_COMPARE_WORDS: u32 = 1024;
+
+/// What an obligation's verdict depends on: the subgraph and the
+/// mapping. The name and ci only label diagnostics.
+type ObligationKey = (IseSubgraph, IseMapping);
+
+/// FNV-1a over the derived `Hash` of an [`ObligationKey`], so an
+/// obligation's trial seed is the same in every process and on every
+/// host. The key holds only bytes, bools and `usize`s, and enum
+/// discriminants arrive as `isize`; both wide kinds are fed as 64
+/// little-endian bits.
+struct Fnv1a(u64);
+
+impl Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write(&(n as u64).to_le_bytes());
+    }
+
+    fn write_isize(&mut self, n: isize) {
+        self.write(&(n as u64).to_le_bytes());
+    }
+}
+
+fn stable_hash(key: &ObligationKey) -> u64 {
+    let mut h = Fnv1a(0xCBF2_9CE4_8422_2325);
+    key.hash(&mut h);
+    h.finish()
+}
+
+/// Obligations proven clean in this process. Process-wide like the
+/// mapper's search cache, because most hits cross `accelerate_all`
+/// calls (DESIGN.md §8).
+fn proven() -> MutexGuard<'static, HashSet<ObligationKey>> {
+    static PROVEN: OnceLock<Mutex<HashSet<ObligationKey>>> = OnceLock::new();
+    PROVEN
+        .get_or_init(|| Mutex::new(HashSet::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`check_ise`] calls answered by the proof memo so far.
+static MEMO_HITS: AtomicU64 = AtomicU64::new(0);
+
+/// Number of [`check_ise`] calls answered by the process-wide proof
+/// memo instead of a proof (diagnostic, e.g. for benchmark reports).
+#[must_use]
+pub fn ise_memo_hits() -> u64 {
+    MEMO_HITS.load(Ordering::Relaxed)
+}
+
+/// Records `check` as proven clean without running its proof, e.g.
+/// when a stored artifact's empty report already vouches for it.
+pub fn mark_proven(check: &IseCheck) {
+    proven().insert((check.subgraph.clone(), check.mapping.clone()));
+}
 
 struct XorShift(u64);
 
@@ -282,11 +350,12 @@ fn reference_eval(sub: &IseSubgraph, ext: &[u32], spm: &mut MapSpm) -> Vec<u32> 
     vals
 }
 
-fn differential(check: &IseCheck) -> Report {
+fn differential(check: &IseCheck, seed: u64) -> Report {
     let mut report = Report::new();
     let sub = &check.subgraph;
     let map = &check.mapping;
-    let mut rng = XorShift(0x57A7_1C5E_ED00_0001 ^ (u64::from(check.ci) << 32));
+    // A xorshift state of 0 would stay 0.
+    let mut rng = XorShift(seed | 1);
     for trial in 0..DIFF_TRIALS {
         let ext: Vec<u32> = (0..sub.n_ext)
             .map(|_| (rng.next() as u32 % 1024) & !3)
@@ -551,15 +620,36 @@ fn symbolic(check: &IseCheck) -> Report {
 }
 
 /// Verifies one custom instruction's equivalence obligation.
+///
+/// The verdict is a pure function of the subgraph and the mapping: the
+/// differential trials are seeded from them, never from the name or
+/// ci. An obligation that proves clean with no warnings is proven once
+/// per process; later calls with the same subgraph and mapping return
+/// the empty report at once. An obligation with any diagnostic is
+/// proven again on every call, so its messages name the caller's
+/// obligation.
 #[must_use]
 pub fn check_ise(check: &IseCheck) -> Report {
+    let key = (check.subgraph.clone(), check.mapping.clone());
+    if proven().contains(&key) {
+        MEMO_HITS.fetch_add(1, Ordering::Relaxed);
+        return Report::new();
+    }
+    let report = prove(check, stable_hash(&key));
+    if report.is_empty() {
+        proven().insert(key);
+    }
+    report
+}
+
+fn prove(check: &IseCheck, seed: u64) -> Report {
     let mut report = structural(check);
     if !report.is_clean() {
         // Structural violations make interpretation meaningless (and
         // possibly out of bounds); stop here.
         return report;
     }
-    let diff = differential(check);
+    let diff = differential(check, seed);
     let diff_clean = diff.is_clean();
     report.merge(diff);
     if diff_clean {
@@ -717,6 +807,54 @@ mod tests {
         // content comparison.
         let mut bad = check;
         bad.mapping.input_slots = [Some(0), Some(1), Some(1), None];
+        let r = check_ise(&bad);
+        assert!(r.has_error("ISE-DIFF"), "{r}");
+    }
+
+    /// `mul_add_check` relabelled, and its defective copy with the
+    /// wiring of ext0 and ext2 swapped.
+    fn labelled(name: &str, ci: u16) -> (IseCheck, IseCheck) {
+        let mut check = mul_add_check();
+        check.name = name.into();
+        check.ci = ci;
+        let mut bad = check.clone();
+        bad.mapping.input_slots = [Some(2), Some(1), Some(0), None];
+        (check, bad)
+    }
+
+    #[test]
+    fn verdict_ignores_name_and_ci() {
+        let (a, _) = labelled("fft", 3);
+        let (b, _) = labelled("ifft", 11);
+        let (ra, rb) = (check_ise(&a), check_ise(&b));
+        assert!(ra.is_empty(), "{ra}");
+        assert_eq!(ra, rb);
+    }
+
+    #[test]
+    fn defects_name_their_own_obligation() {
+        for (name, ci) in [("fft", 3), ("ifft", 11)] {
+            let (_, bad) = labelled(name, ci);
+            let r = check_ise(&bad);
+            assert!(r.has_error("ISE-DIFF"), "{r}");
+            let text = r.to_string();
+            assert!(text.contains(&format!("`{name}` ci{ci}:")), "{text}");
+        }
+    }
+
+    #[test]
+    fn defects_are_never_memoised() {
+        let (_, bad) = labelled("pool", 5);
+        let first = check_ise(&bad);
+        assert!(first.has_error("ISE-DIFF"), "{first}");
+        assert_eq!(check_ise(&bad), first, "a defect fails every time");
+    }
+
+    #[test]
+    fn proving_a_clean_copy_does_not_admit_its_mutant() {
+        let (good, bad) = labelled("dtw", 9);
+        assert!(check_ise(&good).is_empty());
+        assert!(check_ise(&good).is_empty());
         let r = check_ise(&bad);
         assert!(r.has_error("ISE-DIFF"), "{r}");
     }

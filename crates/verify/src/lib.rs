@@ -14,7 +14,8 @@
 //!    instruction's patch datapath is checked against the dataflow
 //!    subgraph it replaced: structural well-formedness, exhaustive-random
 //!    differential interpretation against reference W32 semantics, and a
-//!    symbolic-evaluation cross-check for memory-free datapaths.
+//!    symbolic-evaluation cross-check for memory-free datapaths. Each
+//!    distinct obligation is proven once per process.
 //! 3. **Stitch-plan legality** ([`check_plan`], [`check_circuits`]) —
 //!    patch class/placement/exclusivity bounds, fused-pair adjacency and
 //!    single-cycle timing, and inter-patch switch-fabric coherence
@@ -43,11 +44,14 @@ pub mod plan;
 pub use comm::{check_comm, check_routes, CommEdge, CommNode};
 pub use dataflow::check_program;
 pub use diag::{Diagnostic, Report, Severity, Span};
-pub use ise::{check_ise, IseCheck, IseMapping, IseNode, IseOp, IseOperand, IseOut, IseSubgraph};
+pub use ise::{
+    check_ise, ise_memo_hits, mark_proven, IseCheck, IseMapping, IseNode, IseOp, IseOperand,
+    IseOut, IseSubgraph,
+};
 pub use plan::{check_circuits, check_plan, AccelView, ConfigView, PlanView};
 
 /// Version of the static-analysis suite. Participates in every
 /// persistent verified-artifact cache key: bumping it (do so whenever a
 /// check's semantics change) retires every stored report at once, so a
 /// stale verdict can never satisfy a newer verifier.
-pub const VERIFIER_VERSION: u32 = 1;
+pub const VERIFIER_VERSION: u32 = 2;

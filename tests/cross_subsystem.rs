@@ -173,7 +173,7 @@ fn crc_kernel_verifies_with_zero_warnings() {
         .expect("crc kernel exists");
     let program = crc.standalone().expect("assembles");
     let kv = compile_kernel("crc", &program, &PatchConfig::all(), None).expect("compiles");
-    let report = stitch_compiler::verify_kernel_uncached(&kv);
+    let report = stitch_compiler::verify_kernel(&kv);
     assert!(report.is_clean(), "crc must verify clean:\n{report}");
     assert_eq!(
         report.warning_count(),
