@@ -16,9 +16,10 @@
 //! software, not at zero. Results land in `BENCH_faults.json`; see
 //! EXPERIMENTS.md ("Fault injection and graceful degradation").
 //!
-//! The sweep is **crash-safe** (ISSUE 3): every point — clean, software
-//! baseline, and each degraded run — is persisted atomically to the
-//! `BENCH_faults.points/` point store the moment it completes. Run with
+//! The sweep is **crash-safe**: every point — clean, software baseline,
+//! and each degraded run — goes through `ArtifactStore::load_or_store`,
+//! so it is persisted atomically to the `BENCH_faults.points/` point
+//! store the moment it completes. Run with
 //! `--resume` to skip completed points after a kill; the reassembled
 //! `BENCH_faults.json` is bit-identical to an uninterrupted run's
 //! because the report is always built from the stored records (floats
@@ -111,21 +112,6 @@ fn decode_point(bytes: &[u8]) -> Result<PointRec, DecodeError> {
     })
 }
 
-/// Loads the point from the point store, or computes it and persists it
-/// atomically before returning. All report assembly downstream uses the
-/// returned record only, so resumed and fresh sweeps emit identical
-/// bytes.
-fn point(store: &ArtifactStore, key: &str, compute: impl FnOnce() -> PointRec) -> PointRec {
-    if let Some(rec) = store.load(key).and_then(|b| decode_point(&b).ok()) {
-        return rec;
-    }
-    let rec = compute();
-    store
-        .store(key, &encode_point(&rec))
-        .unwrap_or_else(|e| panic!("persist sweep point {key}: {e}"));
-    rec
-}
-
 fn main() {
     let resume = std::env::args().any(|a| a == "--resume");
     println!(
@@ -148,10 +134,9 @@ fn main() {
     let mut app_reports = Vec::new();
     let mut worst_retention = f64::INFINITY;
     for app in &apps {
-        let clean = point(
-            &store,
-            &format!("{}-f{DEFAULT_FRAMES}-clean", app.name),
-            || {
+        let key = format!("{}-f{DEFAULT_FRAMES}-clean", app.name);
+        let clean = store
+            .load_or_store(&key, decode_point, encode_point, || {
                 let run = ws
                     .run_app(app, Arch::Stitch, DEFAULT_FRAMES)
                     .expect("fault-free run");
@@ -182,12 +167,11 @@ fn main() {
                     targets,
                     outputs: run.node_outputs,
                 }
-            },
-        );
-        let software = point(
-            &store,
-            &format!("{}-f{DEFAULT_FRAMES}-software", app.name),
-            || {
+            })
+            .expect("persist sweep point");
+        let key = format!("{}-f{DEFAULT_FRAMES}-software", app.name);
+        let software = store
+            .load_or_store(&key, decode_point, encode_point, || {
                 let run = ws
                     .run_app(app, Arch::Baseline, DEFAULT_FRAMES)
                     .expect("software baseline");
@@ -201,8 +185,8 @@ fn main() {
                     targets: Vec::new(),
                     outputs: Vec::new(),
                 }
-            },
-        );
+            })
+            .expect("persist sweep point");
 
         println!(
             "{:>6}: clean {:>7.0} fps ({} accelerated, {} fused), software {:>7.0} fps",
@@ -212,10 +196,9 @@ fn main() {
         let mut points = Vec::new();
         let mut prev_fps = clean.throughput_fps;
         for k in 1..=clean.targets.len() {
-            let run = point(
-                &store,
-                &format!("{}-f{DEFAULT_FRAMES}-failed{k}", app.name),
-                || {
+            let key = format!("{}-f{DEFAULT_FRAMES}-failed{k}", app.name);
+            let run = store
+                .load_or_store(&key, decode_point, encode_point, || {
                     let mut plan = FaultPlan::new(k as u64);
                     for &t in &clean.targets[..k] {
                         plan.push(
@@ -239,8 +222,8 @@ fn main() {
                         targets: Vec::new(),
                         outputs: run.node_outputs,
                     }
-                },
-            );
+                })
+                .expect("persist sweep point");
 
             // The assertions run on the stored records, so a resumed
             // sweep re-checks every property, not only the points it

@@ -21,21 +21,7 @@ const NS_PER_CYCLE: u64 = 5;
 /// Trace export path (one file, for the full-Stitch run).
 const TRACE_PATH: &str = "BENCH_obs.trace.json";
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let frames: u32 = flag_value(&args, "--frames")
-        .map_or(DEFAULT_FRAMES, |v| v.parse().expect("--frames value"));
-    trace_report(frames);
-}
-
-/// Traced run of APP1 on every arch, with exact reconciliation.
-fn trace_report(frames: u32) {
     println!("{}", bench::header("Observability report (gesture / APP1)"));
     let app = stitch_apps::gesture();
     let cfg = TraceConfig::new(16);
@@ -47,7 +33,7 @@ fn trace_report(frames: u32) {
     let mut trace_bytes = 0u64;
     let mut trace_events = 0u64;
     for arch in Arch::ALL {
-        let run = ws.run_app(&app, arch, frames).expect("traced run");
+        let run = ws.run_app(&app, arch, DEFAULT_FRAMES).expect("traced run");
         let s = &run.summary;
         let windows = s.windows.as_ref().expect("windowed metrics collected");
         let capture = run.trace.as_ref().expect("event stream captured");
@@ -183,7 +169,7 @@ fn trace_report(frames: u32) {
         .int("ns_per_cycle", NS_PER_CYCLE);
     let mut root = JsonObject::new();
     root.str("app", app.name)
-        .int("frames", u64::from(frames))
+        .int("frames", u64::from(DEFAULT_FRAMES))
         .int("window_cycles", window)
         .object("trace", &trace)
         .array("arches", &arch_rows);

@@ -20,7 +20,7 @@
 //!   version-bumped, or impersonating files all read as misses.
 //!
 //! The same store is the record store of crash-safe resumable sweeps:
-//! `Workbench::sweep_resumable` and the sweep drivers keep one
+//! through [`ArtifactStore::load_or_store`] the sweep drivers keep one
 //! self-checking file per completed point in it, so a killed sweep
 //! resumes where it stopped.
 //!

@@ -140,6 +140,33 @@ impl ArtifactStore {
         fs::rename(&tmp, &path)
     }
 
+    /// The one resume step of a crash-safe sweep: returns the record
+    /// stored for `key` when it loads and `decode`s cleanly; otherwise
+    /// runs `compute` and atomically persists `encode` of its result
+    /// before returning it. A missing, corrupt or stale record is
+    /// therefore recomputed and healed. Callers should build their
+    /// reports from the returned records only (floats round-trip as
+    /// bit patterns through [`Rec`]), so a resumed sweep emits the same
+    /// bytes as an uninterrupted one.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the [`ArtifactStore::store`] failure.
+    pub fn load_or_store<T>(
+        &self,
+        key: &str,
+        decode: impl FnOnce(&[u8]) -> Result<T, DecodeError>,
+        encode: impl FnOnce(&T) -> Vec<u8>,
+        compute: impl FnOnce() -> T,
+    ) -> io::Result<T> {
+        if let Some(t) = self.load(key).and_then(|b| decode(&b).ok()) {
+            return Ok(t);
+        }
+        let t = compute();
+        self.store(key, &encode(&t))?;
+        Ok(t)
+    }
+
     /// Number of artifact files currently in the store.
     #[must_use]
     pub fn completed(&self) -> usize {

@@ -54,9 +54,9 @@ pub use workbench::{AppRun, Error, KernelRow, SimEngine, SweepPoint, Workbench};
 /// enough for the pipeline to reach steady state.
 pub const DEFAULT_FRAMES: u32 = 12;
 
-/// The sweep manifest: `Workbench::sweep_resumable` keeps each completed
-/// point as a [`Rec`]-encoded record in an [`ArtifactStore`] opened on a
-/// `*.points/` directory. These tests pin, through the re-exports sweep
+/// The sweep manifest: `ArtifactStore::load_or_store` keeps each
+/// completed point as a [`Rec`]-encoded record in an [`ArtifactStore`]
+/// opened on a `*.points/` directory. These tests pin, through the re-exports sweep
 /// drivers use, the properties a resumed sweep relies on.
 #[cfg(test)]
 mod manifest {

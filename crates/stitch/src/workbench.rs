@@ -11,7 +11,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use stitch_apps::{build_node_program, App};
-use stitch_cache::{ArtifactStore, DecodeError};
+use stitch_cache::ArtifactStore;
 use stitch_compiler::{
     accelerate_all, compile_kernel, decode_kernel_artifact, encode_kernel_artifact,
     kernel_input_key, seed_verify_memo, stitch_application_masked, verify_kernel,
@@ -47,8 +47,6 @@ pub enum Error {
     /// program failed a `stitch-verify` check. The report carries the
     /// individual diagnostics.
     Verify(Report),
-    /// Sweep resume-store failure (I/O while persisting a point).
-    Resume(String),
 }
 
 impl fmt::Display for Error {
@@ -62,7 +60,6 @@ impl fmt::Display for Error {
                 "static verification rejected the run ({} error(s)):\n{r}",
                 r.error_count()
             ),
-            Error::Resume(e) => write!(f, "sweep resume: {e}"),
         }
     }
 }
@@ -677,33 +674,13 @@ impl Workbench {
         frames: u32,
         threads: usize,
     ) -> Vec<Result<AppRun, Error>> {
-        self.sweep_with(apps, points, frames, threads, |_, _| Ok(()))
-    }
-
-    /// [`Workbench::sweep`] with a completion hook: `on_done(i, run)` is
-    /// invoked *inside the worker thread* as soon as point `i` finishes,
-    /// before the sweep as a whole returns. This is the crash-safety
-    /// primitive — a hook that persists the point means a killed sweep
-    /// keeps everything completed up to the kill. A hook error turns
-    /// that point's result into [`Error::Resume`] without stopping the
-    /// rest of the sweep.
-    pub fn sweep_with(
-        &mut self,
-        apps: &[App],
-        points: &[SweepPoint],
-        frames: u32,
-        threads: usize,
-        on_done: impl Fn(usize, &AppRun) -> Result<(), Error> + Sync,
-    ) -> Vec<Result<AppRun, Error>> {
         if points.is_empty() {
             return Vec::new();
         }
         self.prewarm(apps);
         self.pool(points.len(), threads, |ws, i| {
             let p = points[i];
-            let run = ws.run_app(&apps[p.app], p.arch, frames)?;
-            on_done(i, &run)?;
-            Ok(run)
+            ws.run_app(&apps[p.app], p.arch, frames)
         })
     }
 
@@ -744,61 +721,6 @@ impl Workbench {
         });
         out.into_iter()
             .map(|slot| slot.expect("every job produced a result"))
-            .collect()
-    }
-
-    /// Crash-safe, resumable sweep over an [`ArtifactStore`] of point
-    /// records.
-    ///
-    /// Every point maps to a store key via `key_of`. Points whose key
-    /// already holds a valid record are **not** simulated: `decode`
-    /// rebuilds their result straight from the stored payload. Missing
-    /// points run through the ordinary threaded sweep, and each one is
-    /// persisted atomically (tmp + rename) from inside its worker the
-    /// moment it completes — killing the process mid-sweep therefore
-    /// loses only the points still in flight, and a rerun picks up where
-    /// the kill happened.
-    ///
-    /// `encode` must capture everything `decode` needs: a resumed sweep
-    /// reassembles its report *only* from payloads, which is what makes
-    /// the resumed output bit-identical to an uninterrupted run's
-    /// (floats round-trip as bit patterns via [`crate::Rec`]).
-    /// `reduce` converts a freshly simulated run into the same record
-    /// type. A `decode` returning an error (truncated or stale payload)
-    /// is safe: the point is treated as missing and recomputed.
-    #[allow(clippy::too_many_arguments)] // key/encode/decode/reduce form one codec surface
-    pub fn sweep_resumable<T>(
-        &mut self,
-        apps: &[App],
-        points: &[SweepPoint],
-        frames: u32,
-        threads: usize,
-        store: &ArtifactStore,
-        key_of: impl Fn(SweepPoint) -> String,
-        encode: impl Fn(&AppRun) -> Vec<u8> + Sync,
-        decode: impl Fn(&[u8]) -> Result<T, DecodeError>,
-        reduce: impl Fn(&AppRun) -> T,
-    ) -> Vec<Result<T, Error>> {
-        let keys: Vec<String> = points.iter().map(|&p| key_of(p)).collect();
-        let mut out: Vec<Option<Result<T, Error>>> = (0..points.len()).map(|_| None).collect();
-        let mut missing: Vec<(usize, SweepPoint)> = Vec::new();
-        for (i, &p) in points.iter().enumerate() {
-            match store.load(&keys[i]).and_then(|bytes| decode(&bytes).ok()) {
-                Some(t) => out[i] = Some(Ok(t)),
-                None => missing.push((i, p)),
-            }
-        }
-        let todo: Vec<SweepPoint> = missing.iter().map(|&(_, p)| p).collect();
-        let fresh = self.sweep_with(apps, &todo, frames, threads, |j, run| {
-            store
-                .store(&keys[missing[j].0], &encode(run))
-                .map_err(|e| Error::Resume(format!("store {}: {e}", keys[missing[j].0])))
-        });
-        for ((i, _), r) in missing.iter().zip(fresh) {
-            out[*i] = Some(r.map(|run| reduce(&run)));
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every point produced a result"))
             .collect()
     }
 }

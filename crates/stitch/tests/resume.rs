@@ -1,9 +1,7 @@
-//! Crash-safe sweep resume: `Workbench::sweep_resumable` must skip
-//! points whose stored records are valid, recompute points whose
-//! records are missing or corrupt, and reassemble identical results
-//! either way.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! Crash-safe sweep resume: a sweep that takes each point through
+//! `ArtifactStore::load_or_store` must skip points whose stored records
+//! are valid, recompute points whose records are missing or corrupt,
+//! and reassemble identical results either way.
 
 use stitch::{AppRun, Arch, ArtifactStore, DecodeError, Rec, RecView, SweepPoint, Workbench};
 use stitch_apps::App;
@@ -50,26 +48,19 @@ fn sweep_once(
     points: &[SweepPoint],
     store: &ArtifactStore,
 ) -> (Vec<Pt>, usize) {
-    let computed = AtomicUsize::new(0);
-    let out = ws.sweep_resumable(
-        apps,
-        points,
-        2,
-        2,
-        store,
-        key_of,
-        |run| {
-            computed.fetch_add(1, Ordering::Relaxed);
-            Pt::of(run).encode()
-        },
-        Pt::decode,
-        Pt::of,
-    );
-    let recs = out
-        .into_iter()
-        .map(|r| r.expect("sweep point succeeds"))
-        .collect();
-    (recs, computed.into_inner())
+    let mut computed = 0;
+    let mut recs = Vec::new();
+    for &p in points {
+        let rec = store
+            .load_or_store(&key_of(p), Pt::decode, Pt::encode, || {
+                computed += 1;
+                let run = ws.run_app(&apps[p.app], p.arch, 2);
+                Pt::of(&run.expect("sweep point succeeds"))
+            })
+            .expect("persist sweep point");
+        recs.push(rec);
+    }
+    (recs, computed)
 }
 
 #[test]

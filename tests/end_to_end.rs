@@ -1,7 +1,7 @@
 //! End-to-end integration tests: the full compile → stitch → simulate
 //! flow must preserve application semantics across architectures.
 
-use stitch::{Arch, FaultKind, FaultPlan, Workbench};
+use stitch::{Arch, FaultKind, FaultPlan, RunBudget, Workbench};
 use stitch_apps::App;
 
 /// The same application must produce bit-identical node outputs on every
@@ -127,6 +127,40 @@ fn failed_patch_degrades_gracefully_at_app_level() {
         demoted.summary.cycles >= clean.summary.cycles,
         "demotion must not make the run faster"
     );
+}
+
+/// An enabled-but-roomy budget (every axis capped far above what the
+/// apps need) runs every check yet must not perturb a single simulated
+/// bit. That disabled budgets cost no wall clock is the fig12 overhead
+/// gate's job (`perf_report --check-overhead`).
+#[test]
+fn roomy_budget_is_bit_identical_on_every_app() {
+    let roomy = Some(u64::MAX / 2);
+    let mut plain = Workbench::new();
+    // A clone shares the compile memo; the budget only reaches the chip.
+    let mut budgeted = plain.clone();
+    budgeted.set_budget(RunBudget {
+        cycles: roomy,
+        memory_pages: roomy,
+        messages: roomy,
+        in_flight_messages: roomy,
+        trace_events: roomy,
+        snapshot_bytes: roomy,
+    });
+    for app in App::all() {
+        let base = plain.run_app(&app, Arch::Stitch, 2).expect("clean run");
+        let guarded = budgeted
+            .run_app(&app, Arch::Stitch, 2)
+            .expect("clean run under a roomy budget");
+        assert_eq!(base.summary, guarded.summary, "{}: summary", app.name);
+        assert_eq!(
+            base.throughput_fps.to_bits(),
+            guarded.throughput_fps.to_bits(),
+            "{}: throughput",
+            app.name
+        );
+        assert_eq!(base.node_outputs, guarded.node_outputs, "{}", app.name);
+    }
 }
 
 /// The power model must track the paper's anchors on real runs.

@@ -178,7 +178,7 @@ mod artifact_cache {
             .expect("gate runs");
         assert!(report_cold.is_clean());
         assert!(store.completed() > 0, "cold pass must populate the store");
-        let hits_cold = store.hits();
+        let (hits_cold, misses_cold) = (store.hits(), store.misses());
 
         // A brand-new workbench (fresh in-memory caches, as a new process
         // would start) must serve kernel and prepared app from the store
@@ -192,6 +192,7 @@ mod artifact_cache {
         assert_eq!(kv_cold, kv_warm);
         assert_eq!(report_cold, report_warm);
         assert!(store.hits() > hits_cold, "warm pass must hit the store");
+        assert_eq!(store.misses(), misses_cold, "a warm pass must never miss");
 
         // Mutation kill: a changed input (the frame count participates in
         // the app key) must miss and re-run the pipeline, never reuse.
