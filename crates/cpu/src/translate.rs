@@ -27,8 +27,11 @@
 //! - `jalr` whose runtime target is out of range (fault with partial
 //!   effects only the interpreter replays exactly),
 //! - stores into the crossbar-config window (chip reconfiguration),
-//! - custom instructions while a fault plan is active or the CI is
-//!   unbound on this tile.
+//! - custom instructions the host's [`LaneHost::prepare_custom`]
+//!   rejects at their start cycle: an unbound CI, or — under a fault
+//!   plan — a pending config scrub, a strict-plan detection, a rollback
+//!   request or a first watchdog trip. Healthy patches and the settled
+//!   demotion rungs retire inside the window.
 //!
 //! The cycle a lane reports back (`next_start`) is always the start
 //! cycle of the *next unexecuted* instruction, which is exactly the
@@ -44,9 +47,10 @@ use stitch_isa::reg::Reg;
 use stitch_isa::uop::{translate_block, BlockExit, MicroBlock, UOp};
 
 /// Services a compute window needs from the chip. A deliberately smaller
-/// surface than [`crate::Platform`]: no NIC, and custom execution is the
-/// *healthy* path only — the window pre-checks the side conditions that
-/// make customs fallible and bails to the interpreter instead.
+/// surface than [`crate::Platform`]: no NIC, and custom execution is
+/// infallible — the window asks [`LaneHost::prepare_custom`] first and
+/// bails to the interpreter for anything that could fail or touch state
+/// other lanes read.
 pub trait LaneHost {
     /// Latency (cycles) of fetching the instruction word at `byte_addr`.
     fn fetch(&mut self, byte_addr: u32) -> u32;
@@ -62,17 +66,19 @@ pub trait LaneHost {
     /// (crossbar-config writes reconfigure the chip).
     fn store_side_exits(&self, addr: u32) -> bool;
 
-    /// True when custom instruction `ci` has a live binding on this tile
-    /// (checked before the instruction's fetch, so an unbound CI can
-    /// side-exit without perturbing cache state).
-    fn custom_bound(&self, ci: CiId) -> bool;
+    /// What [`LaneHost::prepare_custom`] decided for one custom
+    /// instruction: everything [`LaneHost::exec_custom`] needs to retire it.
+    type Custom;
 
-    /// Executes a bound custom instruction on the healthy path.
-    ///
-    /// Returns `None` only if the binding vanished after
-    /// [`LaneHost::custom_bound`] said it was live — impossible within a
-    /// window, and treated as a defensive side exit.
-    fn exec_custom(&mut self, ci: CiId, inputs: [u32; 4]) -> Option<CustomOutcome>;
+    /// Decides, before the I-fetch of custom instruction `ci` starting at
+    /// cycle `t`, whether the window can retire it. `None` — the CI is
+    /// unbound on this tile, or its fault-ladder rung at `t` needs the
+    /// interpreter — makes the lane side-exit without perturbing cache
+    /// state.
+    fn prepare_custom(&self, ci: CiId, t: u64) -> Option<Self::Custom>;
+
+    /// Executes a custom instruction [`LaneHost::prepare_custom`] accepted.
+    fn exec_custom(&mut self, custom: Self::Custom, inputs: [u32; 4]) -> CustomOutcome;
 }
 
 /// Per-core cache of lowered basic blocks, keyed by entry pc.
@@ -209,11 +215,8 @@ pub struct WindowParams {
     /// `busy_until`, clamped below by the chip clock).
     pub start: u64,
     /// Last cycle an instruction may *start* on. Chosen by the chip so
-    /// no fault, checkpoint, or deadline lands at or before it.
+    /// no fault event, checkpoint, or deadline lands at or before it.
     pub horizon: u64,
-    /// True when custom instructions may execute inside the window
-    /// (no fault plan active). Otherwise every custom side-exits.
-    pub customs_inline: bool,
 }
 
 /// What one lane did inside a window.
@@ -389,11 +392,14 @@ impl Core {
                         out0,
                         out1,
                     } => {
-                        if !p.customs_inline || !host.custom_bound(id) {
+                        // Decided before the fetch, at this instruction's
+                        // own start cycle: a transient fault can recover
+                        // inside a window, so its rung may change there.
+                        let Some(custom) = host.prepare_custom(id, t) else {
                             pc = block.pc_at(idx);
                             side_exit = true;
                             break 'dispatch;
-                        }
+                        };
                         let inputs = [
                             reg_get(&regs, ins[0]),
                             reg_get(&regs, ins[1]),
@@ -401,12 +407,7 @@ impl Core {
                             reg_get(&regs, ins[3]),
                         ];
                         let fetch = fetch_charge(host, &mut stats, base, s.words);
-                        let Some(o) = host.exec_custom(id, inputs) else {
-                            debug_assert!(false, "custom binding vanished mid-window");
-                            pc = block.pc_at(idx);
-                            side_exit = true;
-                            break 'dispatch;
-                        };
+                        let o = host.exec_custom(custom, inputs);
                         if let Some(r) = out0 {
                             reg_set(&mut regs, r, o.out.out0);
                         }
@@ -625,11 +626,12 @@ mod tests {
         fn store_side_exits(&self, addr: u32) -> bool {
             stitch_isa::memmap::is_xbar_cfg(addr)
         }
-        fn custom_bound(&self, _ci: CiId) -> bool {
-            true
+        type Custom = CiId;
+        fn prepare_custom(&self, ci: CiId, _t: u64) -> Option<CiId> {
+            Some(ci)
         }
-        fn exec_custom(&mut self, ci: CiId, inputs: [u32; 4]) -> Option<CustomOutcome> {
-            Platform::exec_custom(self, ci, inputs).ok()
+        fn exec_custom(&mut self, ci: CiId, inputs: [u32; 4]) -> CustomOutcome {
+            Platform::exec_custom(self, ci, inputs).expect("flat host customs are infallible")
         }
     }
 
@@ -685,7 +687,6 @@ mod tests {
             WindowParams {
                 start: 1,
                 horizon: u64::MAX,
-                customs_inline: true,
             },
         );
         // The window stops at the halt, which the interpreter then
@@ -739,7 +740,6 @@ mod tests {
                 WindowParams {
                     start: t,
                     horizon: t + 7,
-                    customs_inline: true,
                 },
             );
             t = run.next_start;

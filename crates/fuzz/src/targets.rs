@@ -10,7 +10,7 @@
 //! |---|---|---|
 //! | `decode` | raw words → decode → verify → sim | typed errors, budgeted run |
 //! | `differential` | mutated-but-verified programs | `run` == `run_reference` |
-//! | `faults` | random pipelines × random `FaultPlan`s | `run` == `run_reference` |
+//! | `faults` | random pipelines × random `FaultPlan`s | translated `run` == untranslated `run` == `run_reference` |
 //! | `snapshot` | truncated / bit-flipped snapshot blobs | typed `SnapshotError` |
 //! | `json` | mutated JSON trace documents | typed parse error, depth cap |
 
@@ -43,7 +43,7 @@ pub enum Target {
     Decode,
     /// Mutated-but-verified programs, differential across both engines.
     Differential,
-    /// Random fault plans over pipelines, differential across engines.
+    /// Random fault plans over pipelines, differential across three engines.
     Faults,
     /// Truncated / corrupted snapshot blobs through the codec.
     Snapshot,
@@ -242,8 +242,10 @@ pub fn run_differential(seed: u64, coverage: &mut CoverageMap) -> (&'static str,
 }
 
 /// Fault-plan differential: a random pipeline under a random plan must
-/// behave bit-identically on both engines — including every typed
-/// error path the plan can force.
+/// behave bit-identically on all three engines — the translated fast
+/// path, the fast path with translation off, and the reference loop —
+/// including every typed error path the plan can force, the clock it
+/// stops at and the fault counters.
 pub fn run_faults(seed: u64) -> &'static str {
     let mut rng = SimRng::new(seed);
     let programs = gen::random_pipeline(&mut rng);
@@ -259,22 +261,34 @@ pub fn run_faults(seed: u64) -> &'static str {
     };
     let plan = FaultPlan::random(seed, &space);
 
-    let mut fast = Chip::new(ChipConfig::stitch_16());
-    let mut reference = Chip::new(ChipConfig::stitch_16());
-    fast.set_budget(sandbox_budget());
-    reference.set_budget(sandbox_budget());
-    for (tile, p) in &programs {
-        fast.load_program(*tile, p)
-            .expect("pipeline tiles in range");
-        reference
-            .load_program(*tile, p)
-            .expect("pipeline tiles in range");
+    let mut chips = [0, 1, 2].map(|_| {
+        let mut chip = Chip::new(ChipConfig::stitch_16());
+        chip.set_budget(sandbox_budget());
+        for (tile, p) in &programs {
+            chip.load_program(*tile, p)
+                .expect("pipeline tiles in range");
+        }
+        chip.set_fault_plan(plan.clone());
+        chip
+    });
+    chips[1].set_translation(false);
+    let [translated, interpreted, reference] = &mut chips;
+    let a = translated.run(u64::MAX);
+    let b = interpreted.run(u64::MAX);
+    let c = reference.run_reference(u64::MAX);
+    assert_eq!(
+        a, b,
+        "seed {seed}: translation on/off diverge under fault plan"
+    );
+    assert_eq!(a, c, "seed {seed}: engine divergence under fault plan");
+    for other in [&*interpreted, &*reference] {
+        assert_eq!(translated.cycle(), other.cycle(), "seed {seed}: clock");
+        assert_eq!(
+            translated.fault_stats(),
+            other.fault_stats(),
+            "seed {seed}: fault counters"
+        );
     }
-    fast.set_fault_plan(plan.clone());
-    reference.set_fault_plan(plan);
-    let a = fast.run(u64::MAX);
-    let b = reference.run_reference(u64::MAX);
-    assert_eq!(a, b, "seed {seed}: engine divergence under fault plan");
     classify(&a)
 }
 

@@ -1,7 +1,7 @@
 //! The 16-tile chip: cores, memories, patches and both networks.
 
 use crate::faults::{
-    FaultRuntime, FaultStats, PendingMask, MESH_STALL_TICKS, WATCHDOG_RETRIES,
+    FaultRuntime, FaultStats, PendingMask, Rung, MESH_STALL_TICKS, WATCHDOG_RETRIES,
     WATCHDOG_TIMEOUT_CYCLES,
 };
 use crate::snapshot::{ChipSnapshot, SnapshotError};
@@ -44,6 +44,16 @@ pub enum CiBinding {
         /// Control word of the remote (second) patch.
         second: ControlWord,
     },
+}
+
+impl CiBinding {
+    /// The remote tile of a fused pair; `None` for a single patch.
+    pub(crate) fn partner(&self) -> Option<TileId> {
+        match self {
+            CiBinding::Single { .. } => None,
+            CiBinding::Fused { partner, .. } => Some(*partner),
+        }
+    }
 }
 
 /// Simulator errors.
@@ -350,6 +360,75 @@ impl SpmPort for SpmAdapter<'_> {
     }
 }
 
+/// Retires one activation of `binding` on a rung that runs it:
+/// evaluates the dataflow, counts patch activations and demotions, and
+/// charges the rung's execute cycles. Both engines retire customs here.
+///
+/// The software fallback runs the same dataflow through the same
+/// evaluator, so values and SPM effects stay bit-identical; only the
+/// cycle charge changes. A [`Rung::Rollback`] activation runs healthy —
+/// the restore that follows discards it.
+fn retire_custom(
+    binding: &CiBinding,
+    rung: Rung,
+    tile: TileId,
+    inputs: [u32; 4],
+    mem: &mut TileMemory,
+    activations: &mut [u64],
+    faults: Option<&mut FaultRuntime>,
+) -> CustomOutcome {
+    let o = match *binding {
+        CiBinding::Single { ref control } => {
+            let out = eval_single(control, inputs, &mut SpmAdapter(mem));
+            if rung == Rung::Software {
+                CustomOutcome {
+                    out,
+                    fused: false,
+                    cycles: software_cycles(control, MUL_LATENCY),
+                    demoted: true,
+                }
+            } else {
+                activations[tile.index()] += 1;
+                CustomOutcome::healthy(out, false)
+            }
+        }
+        CiBinding::Fused {
+            ref first,
+            partner,
+            ref second,
+        } => {
+            let out = eval_fused(first, second, inputs, &mut SpmAdapter(mem));
+            match rung {
+                Rung::Software => CustomOutcome {
+                    out,
+                    fused: false,
+                    cycles: software_cycles(first, MUL_LATENCY)
+                        + software_cycles(second, MUL_LATENCY),
+                    demoted: true,
+                },
+                Rung::LocalOnly { .. } => {
+                    activations[tile.index()] += 1;
+                    CustomOutcome {
+                        out,
+                        fused: false,
+                        cycles: 1 + software_cycles(second, MUL_LATENCY),
+                        demoted: true,
+                    }
+                }
+                _ => {
+                    activations[tile.index()] += 1;
+                    activations[partner.index()] += 1;
+                    CustomOutcome::healthy(out, true)
+                }
+            }
+        }
+    };
+    if let (true, Some(f)) = (o.demoted, faults) {
+        f.stats.demotions += 1;
+    }
+    o
+}
+
 /// Per-core view of the chip, implementing the CPU's [`Platform`].
 struct TilePlatform<'a> {
     tile: TileId,
@@ -367,17 +446,6 @@ struct TilePlatform<'a> {
     xbar_reconfigured: &'a mut bool,
     faults: Option<&'a mut FaultRuntime>,
     tracer: &'a mut Tracer,
-}
-
-/// How a fused custom instruction executes under the active fault state.
-enum FusedMode {
-    /// Both patches and the circuit are live.
-    Healthy,
-    /// Local first stage on the live patch; the severed remote stage is
-    /// emulated in software.
-    LocalOnly,
-    /// Whole instruction in software (the local patch is dead).
-    Software,
 }
 
 impl TilePlatform<'_> {
@@ -433,197 +501,73 @@ impl Platform for TilePlatform<'_> {
             .iter()
             .find_map(|(id, b)| (*id == ci.0).then_some(b))
             .ok_or(CpuError::UnboundCustom(ci))?;
-        match binding {
-            CiBinding::Single { control } => {
-                let mut extra = 0;
-                let mut demoted = false;
-                let (cycle, tile) = (self.cycle, self.tile.0);
-                if let Some(f) = self.faults.as_deref_mut() {
-                    let scrubbed = f.scrub(self.tile);
-                    if scrubbed > 0 {
-                        self.tracer.emit(|| TraceEvent::Scrub { cycle, tile });
-                    }
-                    extra += scrubbed;
-                    if f.patch_down(self.tile, self.cycle) {
-                        if !f.plan.degrade() {
-                            return Err(CpuError::PatchFaulted {
-                                ci,
-                                kind: PatchFaultKind::PatchDead,
-                            });
-                        }
-                        // Topmost ladder rung: for a *transient* fault
-                        // with a checkpoint available, ask the chip to
-                        // roll back and replay with the window masked.
-                        // This tick's effects are then discarded by the
-                        // restore, so the healthy path below is fine.
-                        if !f.request_patch_rollback(self.tile) {
-                            f.stats.demotions += 1;
-                            demoted = true;
-                            self.tracer.emit(|| TraceEvent::Demote {
-                                cycle,
-                                tile,
-                                to_software: true,
-                            });
-                        }
-                    }
+        let (cycle, tile) = (self.cycle, self.tile.0);
+        let mut extra = 0;
+        let mut rung = Rung::Healthy;
+        if let Some(f) = self.faults.as_deref_mut() {
+            // Parity is checked when the control words are driven: the
+            // local patch's, then a fused partner's.
+            for t in std::iter::once(self.tile).chain(binding.partner()) {
+                let scrubbed = f.scrub(t);
+                if scrubbed > 0 {
+                    self.tracer.emit(|| TraceEvent::Scrub { cycle, tile: t.0 });
                 }
-                // The software fallback runs the same dataflow through
-                // the same evaluator, so values and SPM effects stay
-                // bit-identical; only the cycle charge changes.
-                let out = eval_single(control, inputs, &mut SpmAdapter(self.mem));
-                if demoted {
-                    return Ok(CustomOutcome {
-                        out,
-                        fused: false,
-                        cycles: software_cycles(control, MUL_LATENCY) + extra,
-                        demoted: true,
-                    });
-                }
-                self.activations[self.tile.index()] += 1;
-                self.tracer.emit(|| TraceEvent::PatchActivate {
+                extra += scrubbed;
+            }
+            rung = f.rung(self.tile, ci, binding, self.patchnet, cycle);
+            match rung {
+                Rung::Healthy => {}
+                Rung::Faulted(kind) => return Err(CpuError::PatchFaulted { ci, kind }),
+                Rung::Rollback => f.queue_rollback(self.tile, binding, self.patchnet, cycle),
+                Rung::Software => self.tracer.emit(|| TraceEvent::Demote {
                     cycle,
                     tile,
-                    partner: NO_PARTNER,
-                    fused: false,
-                });
-                Ok(CustomOutcome {
-                    out,
-                    fused: false,
-                    cycles: 1 + extra,
-                    demoted: false,
-                })
-            }
-            CiBinding::Fused {
-                first,
-                partner,
-                second,
-            } => {
-                let mut extra = 0;
-                let mut mode = FusedMode::Healthy;
-                let (cycle, tile) = (self.cycle, self.tile.0);
-                if let Some(f) = self.faults.as_deref_mut() {
-                    let scrubbed_local = f.scrub(self.tile);
-                    if scrubbed_local > 0 {
-                        self.tracer.emit(|| TraceEvent::Scrub { cycle, tile });
+                    to_software: true,
+                }),
+                Rung::LocalOnly { first_trip } => {
+                    // The fused handshake times out. The first detection
+                    // per (tile, CI) pays the bounded watchdog retries;
+                    // the demotion is then remembered and later
+                    // activations go straight to the fallback.
+                    if first_trip {
+                        f.watchdog_tripped.insert((tile, ci.0));
+                        f.stats.watchdog_trips += 1;
+                        extra += WATCHDOG_RETRIES * WATCHDOG_TIMEOUT_CYCLES;
+                        self.tracer
+                            .emit(|| TraceEvent::WatchdogTrip { cycle, tile });
                     }
-                    let scrubbed_remote = f.scrub(*partner);
-                    if scrubbed_remote > 0 {
-                        let remote = partner.0;
-                        self.tracer.emit(|| TraceEvent::Scrub {
-                            cycle,
-                            tile: remote,
-                        });
-                    }
-                    extra += scrubbed_local + scrubbed_remote;
-                    if f.patch_down(self.tile, self.cycle) {
-                        if !f.plan.degrade() {
-                            return Err(CpuError::PatchFaulted {
-                                ci,
-                                kind: PatchFaultKind::PatchDead,
-                            });
-                        }
-                        if !f.request_patch_rollback(self.tile) {
-                            f.stats.demotions += 1;
-                            mode = FusedMode::Software;
-                            self.tracer.emit(|| TraceEvent::Demote {
-                                cycle,
-                                tile,
-                                to_software: true,
-                            });
-                        }
-                    } else {
-                        let circuit_dead = f.patch_down(*partner, self.cycle)
-                            || match self.patchnet.circuit(self.tile, *partner) {
-                                Some(c) => c.tiles.iter().any(|t| f.switch_down(*t, self.cycle)),
-                                // Bindings are validated at load time, so
-                                // the circuit exists; treat absence as
-                                // severed, defensively.
-                                None => true,
-                            };
-                        if circuit_dead {
-                            if !f.plan.degrade() {
-                                return Err(CpuError::PatchFaulted {
-                                    ci,
-                                    kind: PatchFaultKind::CircuitDead,
-                                });
-                            }
-                            // Topmost rung: if every blocker is transient
-                            // and a checkpoint is armed, roll back instead
-                            // of demoting (this tick is then discarded).
-                            let rolled = match self.patchnet.circuit(self.tile, *partner) {
-                                Some(c) => {
-                                    f.request_circuit_rollback(*partner, &c.tiles, self.cycle)
-                                }
-                                None => false,
-                            };
-                            if !rolled {
-                                // The fused handshake times out. The first
-                                // detection per (tile, CI) pays the bounded
-                                // watchdog retries; the demotion is then
-                                // remembered and later activations go
-                                // straight to the fallback.
-                                if f.watchdog_tripped.insert((self.tile.0, ci.0)) {
-                                    f.stats.watchdog_trips += 1;
-                                    extra += WATCHDOG_RETRIES * WATCHDOG_TIMEOUT_CYCLES;
-                                    self.tracer
-                                        .emit(|| TraceEvent::WatchdogTrip { cycle, tile });
-                                }
-                                f.stats.demotions += 1;
-                                mode = FusedMode::LocalOnly;
-                                self.tracer.emit(|| TraceEvent::Demote {
-                                    cycle,
-                                    tile,
-                                    to_software: false,
-                                });
-                            }
-                        }
-                    }
+                    self.tracer.emit(|| TraceEvent::Demote {
+                        cycle,
+                        tile,
+                        to_software: false,
+                    });
                 }
-                let out = eval_fused(first, second, inputs, &mut SpmAdapter(self.mem));
-                Ok(match mode {
-                    FusedMode::Healthy => {
-                        self.activations[self.tile.index()] += 1;
-                        self.activations[partner.index()] += 1;
-                        let remote = partner.0;
-                        self.tracer.emit(|| TraceEvent::PatchActivate {
-                            cycle,
-                            tile,
-                            partner: remote,
-                            fused: true,
-                        });
-                        CustomOutcome {
-                            out,
-                            fused: true,
-                            cycles: 1 + extra,
-                            demoted: false,
-                        }
-                    }
-                    FusedMode::LocalOnly => {
-                        self.activations[self.tile.index()] += 1;
-                        self.tracer.emit(|| TraceEvent::PatchActivate {
-                            cycle,
-                            tile,
-                            partner: NO_PARTNER,
-                            fused: false,
-                        });
-                        CustomOutcome {
-                            out,
-                            fused: false,
-                            cycles: 1 + software_cycles(second, MUL_LATENCY) + extra,
-                            demoted: true,
-                        }
-                    }
-                    FusedMode::Software => CustomOutcome {
-                        out,
-                        fused: false,
-                        cycles: software_cycles(first, MUL_LATENCY)
-                            + software_cycles(second, MUL_LATENCY)
-                            + extra,
-                        demoted: true,
-                    },
-                })
             }
         }
+        let mut o = retire_custom(
+            binding,
+            rung,
+            self.tile,
+            inputs,
+            self.mem,
+            self.activations,
+            self.faults.as_deref_mut(),
+        );
+        if rung != Rung::Software {
+            let fused = o.fused;
+            let partner = binding
+                .partner()
+                .filter(|_| fused)
+                .map_or(NO_PARTNER, |p| p.0);
+            self.tracer.emit(|| TraceEvent::PatchActivate {
+                cycle,
+                tile,
+                partner,
+                fused,
+            });
+        }
+        o.cycles += extra;
+        Ok(o)
     }
 
     fn send(&mut self, dst: u32, addr: u32, len: u32) -> Result<(), CpuError> {
@@ -668,19 +612,21 @@ impl Platform for TilePlatform<'_> {
 }
 
 /// Chip services for one lane of a translated compute window: the
-/// healthy-path subset of [`TilePlatform`].
+/// subset of [`TilePlatform`] a window can retire exactly.
 ///
-/// Windows only run while tracing is off and — for custom instructions —
-/// no fault plan is installed, so the fault ladder, trace emission, and
-/// crossbar reconfiguration of the full platform can never be needed
-/// here: anything that would reach them side-exits to the interpreter
-/// first.
+/// Windows only run while tracing is off, so no trace event is ever due
+/// here. Custom instructions run on the rungs [`Rung::inline`] accepts,
+/// read per activation at its own start cycle; a pending config scrub or
+/// any other rung side-exits to the interpreter before the I-fetch, as
+/// does a crossbar-config store.
 struct WindowHost<'a> {
     tile: TileId,
     mem: &'a mut TileMemory,
     /// Sorted `(ci, binding)` pairs, same table the interpreter scans.
     bindings: &'a [(u16, CiBinding)],
     activations: &'a mut [u64],
+    faults: Option<&'a mut FaultRuntime>,
+    patchnet: &'a PatchNet,
     /// I-cache line of the most recent fetch (`u64::MAX` = no streak),
     /// for the fetch-streak fast path below.
     fetch_line: u64,
@@ -713,7 +659,7 @@ impl WindowHost<'_> {
     }
 }
 
-impl LaneHost for WindowHost<'_> {
+impl<'a> LaneHost for WindowHost<'a> {
     fn fetch(&mut self, byte_addr: u32) -> u32 {
         let line = u64::from(byte_addr >> self.line_shift);
         if line == self.fetch_line {
@@ -741,32 +687,31 @@ impl LaneHost for WindowHost<'_> {
         memmap::is_xbar_cfg(addr)
     }
 
-    fn custom_bound(&self, ci: CiId) -> bool {
-        self.bindings.iter().any(|(id, _)| *id == ci.0)
-    }
+    type Custom = (&'a CiBinding, Rung);
 
-    fn exec_custom(&mut self, ci: CiId, inputs: [u32; 4]) -> Option<CustomOutcome> {
+    fn prepare_custom(&self, ci: CiId, t: u64) -> Option<Self::Custom> {
         let binding = self
             .bindings
             .iter()
             .find_map(|(id, b)| (*id == ci.0).then_some(b))?;
-        Some(match binding {
-            CiBinding::Single { control } => {
-                let out = eval_single(control, inputs, &mut SpmAdapter(self.mem));
-                self.activations[self.tile.index()] += 1;
-                CustomOutcome::healthy(out, false)
-            }
-            CiBinding::Fused {
-                first,
-                partner,
-                second,
-            } => {
-                let out = eval_fused(first, second, inputs, &mut SpmAdapter(self.mem));
-                self.activations[self.tile.index()] += 1;
-                self.activations[partner.index()] += 1;
-                CustomOutcome::healthy(out, true)
-            }
-        })
+        let rung = match self.faults.as_deref() {
+            None => Rung::Healthy,
+            Some(f) if f.scrub_pending(self.tile, binding) => return None,
+            Some(f) => f.rung(self.tile, ci, binding, self.patchnet, t),
+        };
+        rung.inline().then_some((binding, rung))
+    }
+
+    fn exec_custom(&mut self, (binding, rung): Self::Custom, inputs: [u32; 4]) -> CustomOutcome {
+        retire_custom(
+            binding,
+            rung,
+            self.tile,
+            inputs,
+            self.mem,
+            self.activations,
+            self.faults.as_deref_mut(),
+        )
     }
 }
 
@@ -1857,8 +1802,12 @@ impl Chip {
     /// crossing cycle needs per-tick stores — see [`Chip::set_budget`]),
     /// every ready core first runs through the basic-block micro-op
     /// engine up to the horizon or a side exit (send/recv/halt,
-    /// crossbar-config store, custom under an active fault plan,
-    /// architectural fault). If any lane retired an instruction the jump
+    /// crossbar-config store, a custom whose fault-ladder rung needs the
+    /// interpreter, architectural fault). Under a fault plan the horizon
+    /// stops before the next plan event, but a transient fault's
+    /// recovery cycle is not an event and can fall inside the window, so
+    /// customs read their rung at their own start cycle (see
+    /// [`FaultRuntime::rung`]). If any lane retired an instruction the jump
     /// is a *window*: the clock moves to the fence before the earliest
     /// side exit, counted as batched cycles. Otherwise the jump is a
     /// *skip* — the case of a window in which no lane ran: the clock
@@ -1926,10 +1875,6 @@ impl Chip {
     /// side exit — when at least one lane retired an instruction, `None`
     /// when none did. Every lane's `busy_until` is exact either way.
     fn run_lanes(&mut self, horizon: u64) -> Option<u64> {
-        // Customs run inline only while no fault plan is installed: the
-        // fault ladder (scrubs, demotions, rollback requests) belongs to
-        // the interpreter.
-        let customs_inline = self.faults.is_none();
         let mut fence = horizon;
         let mut progressed = false;
         for i in 0..self.cores.len() {
@@ -1952,6 +1897,8 @@ impl Chip {
                 mem: &mut self.mems[i],
                 bindings: &self.bindings[i],
                 activations: &mut self.activations,
+                faults: self.faults.as_mut(),
+                patchnet: &self.patchnet,
                 fetch_line: u64::MAX,
                 fetch_addr: 0,
                 fetch_hits: 0,
@@ -1962,11 +1909,7 @@ impl Chip {
                 &mut self.lane_bank,
                 i,
                 &mut host,
-                WindowParams {
-                    start,
-                    horizon,
-                    customs_inline,
-                },
+                WindowParams { start, horizon },
             );
             // The streak's deferred i-cache effects must land before the
             // interpreter (or the next window) touches this tile.
@@ -2759,5 +2702,221 @@ mod tests {
             hs.tiles[0].core.cycles + u64::from(crate::faults::CONFIG_SCRUB_CYCLES)
         );
         assert!(us.cycles > hs.cycles);
+    }
+
+    /// Loops a custom instruction `iters` times on tile 1 (`R5` = its
+    /// result, accumulated into `R9`, with `in2` stepping each
+    /// iteration): stage one of `fused_custom_instruction`'s `addshladd`
+    /// alone on tile 1's {AT-AS} patch, or the whole pair (partner tile
+    /// 9) when `fused`. The plan is installed before the kernel loads.
+    fn ci_loop_chip(fused: bool, iters: i64, plan: FaultPlan) -> Chip {
+        let mut chip = stitch_chip();
+        chip.reserve_circuit(TileId(1), TileId(9)).unwrap();
+        chip.set_fault_plan(plan);
+        let first = ControlWord::AtAs(stitch_patch::AtAsControl {
+            s1: Stage1::default(),
+            a2_op: AluOp::Add,
+            a2_src1: Sel4::In2,
+            a2_src2: Sel4::In3,
+            s_op: None,
+            s_amt_in3: false,
+        });
+        let second = ControlWord::AtSa(stitch_patch::AtSaControl {
+            s1: Stage1::default(),
+            s_in: Sel4::A1,
+            s_op: Some(AluOp::Sll),
+            s_amt_in3: true,
+            a2_op: AluOp::Add,
+            a2_src2: Sel4::In2,
+        });
+        let stage_one = CiStage::new(PatchClass::AtAs, first.pack().unwrap());
+        let mut b = ProgramBuilder::new();
+        let (ci, binding) = if fused {
+            let stage_two = CiStage::new(PatchClass::AtSa, second.pack().unwrap());
+            let desc = CiDescriptor::fused(CiId(0), "addshladd", stage_one, stage_two);
+            let binding = CiBinding::Fused {
+                first,
+                partner: TileId(9),
+                second,
+            };
+            (b.define_ci(desc), binding)
+        } else {
+            let desc = CiDescriptor::single(CiId(0), "add", stage_one);
+            (b.define_ci(desc), CiBinding::Single { control: first })
+        };
+        b.li(Reg::R10, iters);
+        b.li(Reg::R1, 100);
+        b.li(Reg::R2, 0);
+        b.li(Reg::R3, 5);
+        b.li(Reg::R4, 2);
+        let top = b.bound_label();
+        b.custom(ci, &[Reg::R1, Reg::R2, Reg::R3, Reg::R4], &[Reg::R5])
+            .unwrap();
+        b.add(Reg::R9, Reg::R9, Reg::R5);
+        b.addi(Reg::R3, Reg::R3, 1);
+        b.addi(Reg::R10, Reg::R10, -1);
+        b.branch(Cond::Ne, Reg::R10, Reg::R0, top);
+        b.halt();
+        chip.load_kernel(
+            TileId(1),
+            &b.build().unwrap(),
+            HashMap::from([(0u16, binding)]),
+        )
+        .unwrap();
+        chip
+    }
+
+    /// Runs `build()`'s chip on the translated fast path, on the fast
+    /// path with translation off, and on `run_reference`, and asserts
+    /// the three agree on the outcome, the clock, every register and
+    /// every fault counter. Returns the translated chip and its outcome.
+    fn three_engines(build: impl Fn() -> Chip) -> (Chip, Result<RunSummary, SimError>) {
+        let mut translated = build();
+        let mut interpreted = build();
+        interpreted.set_translation(false);
+        let mut naive = build();
+        let a = translated.run(100_000);
+        assert_eq!(a, interpreted.run(100_000), "translation on vs off");
+        assert_eq!(a, naive.run_reference(100_000), "fast path vs reference");
+        for other in [&interpreted, &naive] {
+            assert_eq!(translated.cycle(), other.cycle());
+            assert_eq!(translated.fault_stats(), other.fault_stats());
+            for t in 0..16u8 {
+                for r in 0..32u8 {
+                    let r = Reg::from_index(r).unwrap();
+                    assert_eq!(
+                        translated.core_reg(TileId(t), r),
+                        other.core_reg(TileId(t), r)
+                    );
+                }
+            }
+        }
+        (translated, a)
+    }
+
+    /// Instructions the interpreter retired on the translated run — a
+    /// window that carried the customs leaves fewer than there are
+    /// customs.
+    fn interpreted_instrs(chip: &Chip, s: &RunSummary) -> u64 {
+        s.total_instructions() - chip.translation_stats().uops_executed
+    }
+
+    #[test]
+    fn partner_config_upset_scrubs_identically_on_every_engine() {
+        // The upset lands on the *partner* mid-loop: the next fused CI
+        // side-exits, the interpreter scrubs tile 9's configuration, and
+        // later activations return to the window.
+        let plan = FaultPlan::new(6).with(40, FaultKind::ConfigUpset { tile: TileId(9) });
+        let (chip, s) = three_engines(|| ci_loop_chip(true, 30, plan.clone()));
+        let s = s.unwrap();
+        assert_eq!(chip.fault_stats().scrubs, 1);
+        assert_eq!(s.total_fused(), 30);
+        assert!(interpreted_instrs(&chip, &s) < s.total_custom());
+    }
+
+    #[test]
+    fn severed_circuit_demotes_identically_before_and_after_the_trip() {
+        // Permanent severing before the first CI: the first activation
+        // trips the watchdog in the interpreter, the rest demote inline.
+        // Mid-loop severing: healthy fused activations first.
+        for at in [0, 60] {
+            let plan = FaultPlan::new(7).with(
+                at,
+                FaultKind::SwitchFail {
+                    tile: TileId(9),
+                    until: None,
+                },
+            );
+            let (chip, s) = three_engines(|| ci_loop_chip(true, 30, plan.clone()));
+            let s = s.unwrap();
+            let stats = chip.fault_stats();
+            assert_eq!(stats.watchdog_trips, 1, "severed at {at}");
+            assert_eq!(stats.demotions, s.total_demoted(), "severed at {at}");
+            assert_eq!(s.total_fused() + stats.demotions, 30, "severed at {at}");
+            assert_eq!(at == 0, s.total_fused() == 0, "severed at {at}");
+            assert!(interpreted_instrs(&chip, &s) < s.total_custom());
+        }
+    }
+
+    #[test]
+    fn transient_patch_recovery_inside_a_window_matches_every_engine() {
+        // The recovery cycle is not a plan event, so nothing stops the
+        // window there: the rung must be read at each activation's own
+        // start cycle — software before cycle 120, the patch after.
+        for fused in [false, true] {
+            let plan = FaultPlan::new(8).with(
+                0,
+                FaultKind::PatchFail {
+                    tile: TileId(1),
+                    until: Some(120),
+                },
+            );
+            let (chip, s) = three_engines(|| ci_loop_chip(fused, 40, plan.clone()));
+            let s = s.unwrap();
+            let demoted = chip.fault_stats().demotions;
+            assert!(demoted > 0 && demoted < 40, "fused={fused}: {demoted}");
+            assert_eq!(s.tiles[1].patch_activations, 40 - demoted);
+            assert!(interpreted_instrs(&chip, &s) < s.total_custom());
+        }
+    }
+
+    #[test]
+    fn strict_plan_faults_identically_on_every_engine() {
+        for (fused, tile, kind) in [
+            (false, TileId(1), FaultedKind::PatchDead),
+            (true, TileId(9), FaultedKind::PatchDead),
+            (true, TileId(9), FaultedKind::CircuitDead),
+        ] {
+            let fault = match (fused, kind) {
+                (true, FaultedKind::CircuitDead) => FaultKind::SwitchFail { tile, until: None },
+                _ => FaultKind::PatchFail { tile, until: None },
+            };
+            let plan = FaultPlan::new(9).with(50, fault).strict();
+            let (_, outcome) = three_engines(|| ci_loop_chip(fused, 30, plan.clone()));
+            // A dead partner patch severs the circuit as seen from tile 1.
+            let expected = if fused {
+                FaultedKind::CircuitDead
+            } else {
+                kind
+            };
+            match outcome {
+                Err(SimError::Faulted {
+                    tile: TileId(1),
+                    cycle,
+                    kind,
+                }) => {
+                    assert!(cycle >= 50);
+                    assert_eq!(kind, expected);
+                }
+                other => panic!("expected a typed fault on tile 1, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn rollback_past_a_transient_fault_matches_every_engine() {
+        for fused in [false, true] {
+            let fault = if fused {
+                FaultKind::SwitchFail {
+                    tile: TileId(9),
+                    until: Some(130),
+                }
+            } else {
+                FaultKind::PatchFail {
+                    tile: TileId(1),
+                    until: Some(130),
+                }
+            };
+            let plan = FaultPlan::new(10).with(100, fault);
+            let (chip, s) = three_engines(|| {
+                let mut chip = ci_loop_chip(fused, 40, plan.clone());
+                chip.enable_rollback(64, 4);
+                chip
+            });
+            s.unwrap();
+            let stats = chip.fault_stats();
+            assert!(stats.rollbacks >= 1, "fused={fused}: {stats:?}");
+            assert_eq!(stats.demotions, 0, "fused={fused}: {stats:?}");
+        }
     }
 }

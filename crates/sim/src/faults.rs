@@ -4,10 +4,11 @@
 //! The *plan* (which component breaks, when) lives in `stitch-fault`;
 //! this module holds the *mechanism*: which patches and switches are
 //! currently down, which configurations are awaiting a parity scrub, and
-//! which fused bindings already paid their watchdog timeout. The
-//! degradation ladder itself is implemented where detection happens —
-//! `TilePlatform::exec_custom` in [`crate::chip`] for patch faults, the
-//! mesh stall probe for link faults.
+//! which fused bindings already paid their watchdog timeout. The patch
+//! half of the degradation ladder is decided in one place,
+//! [`FaultRuntime::rung`], which both the interpreter
+//! (`TilePlatform::exec_custom` in [`crate::chip`]) and translated
+//! windows read; link faults are handled by the mesh stall probe.
 //!
 //! The ladder's topmost rung — checkpoint rollback for *transient*
 //! faults — also keeps its runtime state here: per-component mask
@@ -15,10 +16,14 @@
 //! the replay, and the pending-mask queue a detection fills to ask the
 //! chip for a rollback (serviced by `Chip` right after the tick).
 
+use crate::chip::CiBinding;
 use crate::snapshot::FaultRuntimeSnapshot;
 use crate::TileId;
 use std::collections::HashSet;
+use stitch_cpu::PatchFaultKind;
 use stitch_fault::FaultPlan;
+use stitch_isa::custom::CiId;
+use stitch_noc::PatchNet;
 
 /// Cycles of one fused-handshake watchdog window.
 pub const WATCHDOG_TIMEOUT_CYCLES: u32 = 8;
@@ -40,7 +45,10 @@ pub const MESH_STALL_TICKS: u64 = 10_000;
 /// Counters for fault handling during a run (diagnostics; deliberately
 /// not part of [`crate::RunSummary`], whose equality pins architectural
 /// behavior, not fault bookkeeping — though these too evolve identically
-/// in the fast path and the reference engine).
+/// in the fast path and the reference engine). After a run that fails
+/// part-way, `demotions` is like the rest of the chip state: a window
+/// lane may have retired demoted customs past the failing cycle, so only
+/// the error itself is engine-identical then.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Fault events applied so far.
@@ -53,6 +61,43 @@ pub struct FaultStats {
     pub scrubs: u64,
     /// Checkpoint rollbacks taken to replay past a transient fault.
     pub rollbacks: u64,
+}
+
+/// The degradation-ladder rung one custom-instruction activation takes,
+/// as decided by [`FaultRuntime::rung`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rung {
+    /// The patch — and for a fused CI the partner and the circuit — is
+    /// live: single-cycle on the fabric.
+    Healthy,
+    /// Strict plan: the detection is a typed error.
+    Faulted(PatchFaultKind),
+    /// Every blocker is transient and a checkpoint is armed: the chip
+    /// rolls back and replays with the blockers masked. The activation
+    /// itself runs healthy; the restore discards it.
+    Rollback,
+    /// The local patch is down: the whole CI runs in software.
+    Software,
+    /// The fused circuit is severed: stage one on the local patch, stage
+    /// two in software. The first activation per `(tile, ci)` pays the
+    /// bounded watchdog retries.
+    LocalOnly {
+        /// True while the `(tile, ci)` watchdog has not tripped yet.
+        first_trip: bool,
+    },
+}
+
+impl Rung {
+    /// True when a translated window may retire the activation itself.
+    /// These rungs change fault state only through commutative counters
+    /// (`demotions`, patch activations), so window lanes stay
+    /// independent; every other rung side-exits to the interpreter.
+    pub fn inline(self) -> bool {
+        matches!(
+            self,
+            Rung::Healthy | Rung::Software | Rung::LocalOnly { first_trip: false }
+        )
+    }
 }
 
 /// One component masked by a rollback: during the replay the component
@@ -136,6 +181,15 @@ impl FaultRuntime {
             && self.switch_mask_until[tile.index()] <= cycle
     }
 
+    /// Whether an activation of `binding` on `tile` would scrub a
+    /// configuration first — the local patch's or, fused, the partner's.
+    pub fn scrub_pending(&self, tile: TileId, binding: &CiBinding) -> bool {
+        self.config_upset[tile.index()]
+            || binding
+                .partner()
+                .is_some_and(|p| self.config_upset[p.index()])
+    }
+
     /// Consumes a pending config upset on `tile`, returning the scrub
     /// penalty in cycles (0 when the configuration is clean). Detection
     /// happens on the next activation — parity is checked when the
@@ -151,72 +205,103 @@ impl FaultRuntime {
         }
     }
 
-    /// Queues a rollback for a transiently-down patch on `tile`. Returns
-    /// false — leaving the caller to the demotion rungs — when rollback
-    /// is not armed or the fault is permanent (masking a permanent fault
-    /// would replay into the same wall forever).
-    pub fn request_patch_rollback(&mut self, tile: TileId) -> bool {
-        if !self.rollback_armed {
-            return false;
+    /// The ladder rung an activation of `binding` on `tile` takes at
+    /// `cycle`. The one ladder decision both engines read:
+    /// `TilePlatform::exec_custom` acts on every rung, a translated
+    /// window retires the rungs [`Rung::inline`] accepts and side-exits
+    /// the rest. Config scrubs are not rungs — they are consumed (or, in
+    /// a window, side-exited on) before the rung is read.
+    pub fn rung(
+        &self,
+        tile: TileId,
+        ci: CiId,
+        binding: &CiBinding,
+        patchnet: &PatchNet,
+        cycle: u64,
+    ) -> Rung {
+        let (kind, transient) = if self.patch_down(tile, cycle) {
+            let transient = self.patch_down_until[tile.index()] != u64::MAX;
+            (PatchFaultKind::PatchDead, transient)
+        } else if let Some(partner) = binding.partner() {
+            match patchnet.circuit(tile, partner) {
+                Some(c) => {
+                    let mut blockers = self.circuit_blockers(partner, &c.tiles, cycle).peekable();
+                    if blockers.peek().is_none() {
+                        return Rung::Healthy;
+                    }
+                    let transient = blockers.all(|m| m.until != u64::MAX);
+                    (PatchFaultKind::CircuitDead, transient)
+                }
+                // Bindings are validated at load time, so the circuit
+                // exists; treat absence as severed, defensively, with
+                // nothing a rollback could mask.
+                None => (PatchFaultKind::CircuitDead, false),
+            }
+        } else {
+            return Rung::Healthy;
+        };
+        if !self.plan.degrade() {
+            Rung::Faulted(kind)
+        } else if self.rollback_armed && transient {
+            // Masking a permanent blocker would replay into the same
+            // wall forever, so only all-transient blockers roll back.
+            Rung::Rollback
+        } else if kind == PatchFaultKind::PatchDead {
+            Rung::Software
+        } else {
+            Rung::LocalOnly {
+                first_trip: !self.watchdog_tripped.contains(&(tile.0, ci.0)),
+            }
         }
-        let until = self.patch_down_until[tile.index()];
-        if until == u64::MAX {
-            return false;
-        }
-        self.pending_masks.push(PendingMask {
-            switch: false,
-            tile: tile.index(),
-            until,
-        });
-        true
     }
 
-    /// Queues a rollback for a severed fused circuit: every component
-    /// blocking it (the partner patch and/or switches along the path)
-    /// must be down *transiently*; a single permanent blocker makes the
-    /// rollback pointless and the request is refused.
-    pub fn request_circuit_rollback(
+    /// Queues the masks for a [`Rung::Rollback`] decided by
+    /// [`FaultRuntime::rung`] at the same `cycle`: the local patch, or
+    /// every down component on the fused circuit.
+    pub fn queue_rollback(
         &mut self,
-        partner: TileId,
-        path: &[TileId],
+        tile: TileId,
+        binding: &CiBinding,
+        patchnet: &PatchNet,
         cycle: u64,
-    ) -> bool {
-        if !self.rollback_armed {
-            return false;
-        }
-        let before = self.pending_masks.len();
-        if self.patch_down(partner, cycle) {
-            let until = self.patch_down_until[partner.index()];
-            if until == u64::MAX {
-                self.pending_masks.truncate(before);
-                return false;
-            }
+    ) {
+        if self.patch_down(tile, cycle) {
             self.pending_masks.push(PendingMask {
                 switch: false,
-                tile: partner.index(),
-                until,
+                tile: tile.index(),
+                until: self.patch_down_until[tile.index()],
             });
-        }
-        for t in path {
-            if self.switch_down(*t, cycle) {
-                let until = self.switch_down_until[t.index()];
-                if until == u64::MAX {
-                    self.pending_masks.truncate(before);
-                    return false;
-                }
-                self.pending_masks.push(PendingMask {
-                    switch: true,
-                    tile: t.index(),
-                    until,
-                });
+        } else if let Some(partner) = binding.partner() {
+            if let Some(c) = patchnet.circuit(tile, partner) {
+                let masks: Vec<PendingMask> =
+                    self.circuit_blockers(partner, &c.tiles, cycle).collect();
+                self.pending_masks.extend(masks);
             }
         }
-        // No down component found means the circuit itself is missing
-        // (defensive severed-path handling) — not a transient fault.
-        if self.pending_masks.len() == before {
-            return false;
-        }
-        true
+    }
+
+    /// The down components blocking a fused circuit to `partner` over
+    /// `path` at `cycle`, as the masks a rollback past them installs.
+    fn circuit_blockers<'s>(
+        &'s self,
+        partner: TileId,
+        path: &'s [TileId],
+        cycle: u64,
+    ) -> impl Iterator<Item = PendingMask> + 's {
+        let patch = self.patch_down(partner, cycle).then(|| PendingMask {
+            switch: false,
+            tile: partner.index(),
+            until: self.patch_down_until[partner.index()],
+        });
+        let switches = path
+            .iter()
+            .filter(move |t| self.switch_down(**t, cycle))
+            .map(|t| PendingMask {
+                switch: true,
+                tile: t.index(),
+                until: self.switch_down_until[t.index()],
+            });
+        patch.into_iter().chain(switches)
     }
 
     /// Captures the runtime state (the transient `pending_masks` queue is

@@ -271,3 +271,60 @@ fn fast_path_matches_reference_under_link_faults() {
         );
     }
 }
+
+/// Fault-active chips run on the translated path: on compute-only plans
+/// the healthy patches and the settled demotion rungs retire their
+/// custom instructions inside windows. Translation on, translation off
+/// and the reference loop must still agree on the summary, the clock
+/// and every fault counter — and the windows must actually have carried
+/// the customs, or the equality above proves nothing about them.
+#[test]
+fn fast_path_matches_reference_under_compute_faults_in_windows() {
+    let space = FaultSpace {
+        tiles: 10, // covers the fused pair on tiles 1 and 9
+        horizon: 500,
+        max_events: 4,
+        allow_transient: true,
+        ..FaultSpace::default()
+    }
+    .compute_only();
+    let mut demotions = 0;
+    for seed in 0..16u64 {
+        let plan = FaultPlan::random(0xFA_0000 + seed, &space);
+        let mut chips = [0, 1, 2].map(|_| {
+            let mut chip = fused_chip(0xF5_ED00 + seed);
+            chip.set_fault_plan(plan.clone());
+            chip
+        });
+        chips[1].set_translation(false);
+        let [translated, interpreted, naive] = &mut chips;
+        let a = translated.run(BUDGET).expect("translated run terminates");
+        let b = interpreted.run(BUDGET).expect("interpreted run terminates");
+        let c = naive
+            .run_reference(BUDGET)
+            .expect("reference run terminates");
+        assert_eq!(a, b, "translation on/off diverge under faults, seed {seed}");
+        assert_eq!(
+            a, c,
+            "fast path and reference diverge under faults, seed {seed}"
+        );
+        assert_eq!(translated.cycle(), naive.cycle(), "clock, seed {seed}");
+        assert_eq!(interpreted.cycle(), naive.cycle(), "clock, seed {seed}");
+        let stats = translated.fault_stats();
+        assert_eq!(stats, interpreted.fault_stats(), "fault stats, seed {seed}");
+        assert_eq!(stats, naive.fault_stats(), "fault stats, seed {seed}");
+        demotions += stats.demotions;
+        let ts = translated.translation_stats();
+        assert!(ts.batched_cycles > 0, "no window fired (seed {seed})");
+        assert!(ts.uops_executed > 0, "no translated uops (seed {seed})");
+        // Before windows ran customs under a plan, every custom retired
+        // in the interpreter; now most of them retire in windows.
+        let interpreted_instrs = a.total_instructions() - ts.uops_executed;
+        assert!(
+            interpreted_instrs < a.total_custom(),
+            "customs left the window (seed {seed}: {interpreted_instrs} interpreted, {} customs)",
+            a.total_custom()
+        );
+    }
+    assert!(demotions > 0, "no plan demoted a custom instruction");
+}
