@@ -17,7 +17,8 @@
 //! explicit buffer addresses and word counts) lives in [`NodeSpec`];
 //! [`build_node_program`] wraps the kernel's compute body into the
 //! per-frame receive/compute/send loop once the stitcher has fixed the
-//! node→tile placement.
+//! node→tile placement; [`build_placement_free_program`] builds the same
+//! loop with every peer on one tile, for profiling.
 
 use stitch_isa::program::{Program, ProgramBuilder};
 use stitch_isa::{Cond, IsaError, Reg};
@@ -143,6 +144,29 @@ pub fn build_node_program(
     b.branch(Cond::Ne, frames_reg, Reg::R0, frame_loop);
     b.halt();
     b.build()
+}
+
+/// Builds one node's program with its placement erased: every peer is
+/// wired to tile 0.
+///
+/// The profile of this program is the profile of every placement of the
+/// node, so one profile serves every re-stitch of it. Wiring changes
+/// only the peer operands of the node's sends and receives, a tile
+/// index always lowers to one `addi`, and the profiler never reads those
+/// operands: it discards sends and zero-fills receives. The same
+/// instructions therefore retire the same number of times under any
+/// placement. `crates/stitch/tests/placement.rs` pins this for every
+/// node of every app.
+///
+/// # Errors
+///
+/// As [`build_node_program`].
+pub fn build_placement_free_program(
+    app: &App,
+    node: usize,
+    frames: u32,
+) -> Result<Program, IsaError> {
+    build_node_program(app, node, frames, &vec![TileId(0); app.nodes.len()])
 }
 
 fn node(

@@ -12,19 +12,16 @@ use crate::cfg::Cfg;
 use crate::dfg::BlockDfg;
 use crate::enumerate::{enumerate_candidates, EnumerateLimits};
 use crate::mapper::{map_candidate, PatchConfig};
-use crate::profile::profile_program;
+use crate::profile::{profile_program, ProfileReport};
 use crate::rewrite::{rewrite_program, select_candidates, Chosen};
 use crate::verify::verify_variant;
-use crate::{CompilerError, HOT_THRESHOLD};
+use crate::{CompilerError, HOT_THRESHOLD, MEASURE_BUDGET};
 use std::collections::HashMap;
 use stitch_isa::program::Program;
 use stitch_mem::TileMemoryConfig;
 use stitch_noc::TileId;
 use stitch_patch::{ControlWord, PatchClass};
 use stitch_sim::{Chip, ChipConfig, CiBinding, Topology};
-
-/// Cycle budget for measurement runs.
-const MEASURE_BUDGET: u64 = 200_000_000;
 
 /// An accelerated variant of one kernel.
 #[derive(Debug, Clone, PartialEq)]
@@ -173,7 +170,28 @@ pub fn compile_kernel(
 }
 
 /// Runs the compile flow (no measurement) for each configuration,
-/// keeping variants that inserted at least one custom instruction.
+/// keeping variants that inserted at least one custom instruction:
+/// [`profile_program`], then [`accelerate_profiled`].
+///
+/// # Errors
+///
+/// Propagates profiling failures and those of [`accelerate_profiled`].
+pub fn accelerate_all(
+    name: &str,
+    program: &Program,
+    configs: &[PatchConfig],
+) -> Result<Vec<AcceleratedKernel>, CompilerError> {
+    let profile = profile_program(program, MEASURE_BUDGET)?;
+    accelerate_profiled(name, program, &profile, configs)
+}
+
+/// [`accelerate_all`] after its profiling step: hot blocks come from
+/// `profile`, everything else from `program`.
+///
+/// `profile` need not come from `program` itself, only from a program
+/// the profiler cannot tell apart from it. A node program and its
+/// placement-free twin (`stitch_apps::build_placement_free_program`)
+/// are such a pair, so one profile serves every placement of a node.
 ///
 /// This is where every synthesized mapping is proven: each variant must
 /// pass the W32 lints and `stitch_verify::check_ise` on every custom
@@ -181,16 +199,24 @@ pub fn compile_kernel(
 ///
 /// # Errors
 ///
-/// Propagates profiling and rewrite failures. A variant that fails the
+/// [`CompilerError::Invariant`] when `profile` does not cover exactly
+/// `program`'s instructions; rewrite failures. A variant that fails the
 /// proof — e.g. a mapping whose control words do not compute its
 /// candidate (ISE-DIFF) — fails the whole compile with
 /// [`CompilerError::Verify`]; it is never silently dropped.
-pub fn accelerate_all(
+pub fn accelerate_profiled(
     name: &str,
     program: &Program,
+    profile: &ProfileReport,
     configs: &[PatchConfig],
 ) -> Result<Vec<AcceleratedKernel>, CompilerError> {
-    let profile = profile_program(program, MEASURE_BUDGET)?;
+    if profile.instr_counts.len() != program.instrs.len() {
+        return Err(CompilerError::invariant(format!(
+            "{name}: profile covers {} instructions, program has {}",
+            profile.instr_counts.len(),
+            program.instrs.len()
+        )));
+    }
     let cfg = Cfg::build(program);
     let hot = profile.hot_blocks(&cfg, HOT_THRESHOLD);
 

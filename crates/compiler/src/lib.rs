@@ -48,7 +48,9 @@ pub mod verify;
 pub use artifact::{decode_kernel_artifact, encode_kernel_artifact, kernel_input_key};
 pub use cfg::{BasicBlock, Cfg};
 pub use dfg::{BlockDfg, NodeOp, Src};
-pub use driver::{accelerate_all, compile_kernel, AcceleratedKernel, KernelVariants};
+pub use driver::{
+    accelerate_all, accelerate_profiled, compile_kernel, AcceleratedKernel, KernelVariants,
+};
 pub use enumerate::{enumerate_candidates, Candidate, EnumerateLimits};
 pub use lcs::{chain_analysis, critical_chain, ChainReport, ChainRound};
 pub use mapper::{map_candidate, Mapping, OutPort, PatchConfig};
@@ -65,6 +67,9 @@ use std::fmt;
 /// least this fraction of dynamic instructions (paper §III-A uses a 5%
 /// occurrence-rate threshold).
 pub const HOT_THRESHOLD: f64 = 0.05;
+
+/// Step and cycle budget of the flow's profiling and measurement runs.
+pub const MEASURE_BUDGET: u64 = 200_000_000;
 
 /// Errors produced by the compiler flow.
 #[derive(Debug, Clone, PartialEq)]

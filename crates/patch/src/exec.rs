@@ -147,17 +147,23 @@ fn eval_atsa(c: &AtSaControl, ins: [u32; 4], spm: &mut dyn SpmPort) -> PatchOutp
 }
 
 fn eval_locus(c: &crate::control::LocusControl, ins: [u32; 4]) -> PatchOutput {
-    let mut vals: Vec<u32> = ins.to_vec();
-    for op in &c.ops {
-        let a = vals[op.src1 as usize];
-        let b = vals[op.src2 as usize];
-        vals.push(op.op.eval(a, b));
+    // Slots 0..4 hold the inputs, slot 4 + i micro-op i's result. The
+    // chain has 1..=3 ops, so it fits on the stack: this runs on every
+    // LOCUS activation. Eight slots cover every 3-bit source operand, so
+    // no control word can index out of range; an unwritten slot reads 0.
+    let mut vals = [0u32; 8];
+    vals[..4].copy_from_slice(&ins);
+    let mut last = 3;
+    for (slot, op) in (4..7).zip(&c.ops) {
+        vals[slot] = op
+            .op
+            .eval(vals[usize::from(op.src1)], vals[usize::from(op.src2)]);
+        last = slot;
     }
     PatchOutput {
-        // `vals` starts with the four inputs, so a last element always
-        // exists; `unwrap_or_default` keeps the path panic-free anyway.
-        out0: vals.last().copied().unwrap_or_default(),
-        out1: vals.get(4).copied().unwrap_or(0),
+        out0: vals[last],
+        // Zero when the chain is empty.
+        out1: vals[4],
     }
 }
 
@@ -398,6 +404,50 @@ mod tests {
         let out = eval_single(&c, ins(2, 3, 4, 5), &mut spm);
         assert_eq!(out.out0, (2 + 3) << 4);
         assert_eq!(out.out1, 5, "first micro-op result on out1");
+    }
+
+    fn locus(ops: &[(AluOp, u8, u8)]) -> ControlWord {
+        ControlWord::Locus(LocusControl {
+            ops: ops
+                .iter()
+                .map(|&(op, src1, src2)| LocusOp { op, src1, src2 })
+                .collect(),
+        })
+    }
+
+    #[test]
+    fn locus_one_op_chain_drives_both_outputs() {
+        let out = eval_single(
+            &locus(&[(AluOp::Sub, 3, 0)]),
+            ins(4, 0, 0, 10),
+            &mut MapSpm::new(),
+        );
+        assert_eq!(out.out0, 6, "last op's result on out0");
+        assert_eq!(out.out1, 6, "first op's result on out1");
+    }
+
+    #[test]
+    fn locus_two_op_chain_reads_an_earlier_result() {
+        // (in0 ^ in1) - in3
+        let out = eval_single(
+            &locus(&[(AluOp::Xor, 0, 1), (AluOp::Sub, 4, 3)]),
+            ins(0b1100, 0b1010, 0, 1),
+            &mut MapSpm::new(),
+        );
+        assert_eq!(out.out0, 0b0110 - 1);
+        assert_eq!(out.out1, 0b0110);
+    }
+
+    #[test]
+    fn locus_three_op_chain_reads_every_earlier_slot() {
+        // t0 = in0 + in1; t1 = t0 << in2; out0 = t1 | t0
+        let out = eval_single(
+            &locus(&[(AluOp::Add, 0, 1), (AluOp::Sll, 4, 2), (AluOp::Or, 5, 4)]),
+            ins(1, 2, 4, 0),
+            &mut MapSpm::new(),
+        );
+        assert_eq!(out.out0, ((1 + 2) << 4) | (1 + 2));
+        assert_eq!(out.out1, 1 + 2);
     }
 
     #[test]

@@ -18,13 +18,15 @@
 //! which is always correct.
 
 use crate::workbench::NodeLoad;
+use std::sync::Arc;
 use stitch_apps::App;
 use stitch_cache::codec::{get_program, get_report, put_program, put_report, MIN_PROGRAM_BYTES};
-use stitch_cache::{DecodeError, Rec, RecView, Sha256};
+use stitch_cache::{sha256, DecodeError, Rec, RecView, Sha256};
 use stitch_compiler::artifact::{
     get_accelerated, get_stitch_plan, put_accelerated, put_stitch_plan,
 };
 use stitch_compiler::StitchPlan;
+use stitch_isa::Program;
 use stitch_noc::TileId;
 use stitch_sim::Arch;
 use stitch_verify::{Report, VERIFIER_VERSION};
@@ -73,6 +75,16 @@ pub(crate) fn app_input_key(
     }
     h.field(rec.as_bytes());
     Some(format!("app-{}-{}", app.name, h.finalize_hex()))
+}
+
+/// Structural digest of a program: SHA-256 over its store encoding
+/// (instruction words, data segments, CI table and symbols), never its
+/// `Debug` text. It keys the workbench's in-memory profile and node
+/// tiers. `None` when the program cannot be encoded.
+pub(crate) fn program_digest(program: &Program) -> Option<[u8; 32]> {
+    let mut rec = Rec::new();
+    put_program(&mut rec, program)?;
+    Some(sha256(rec.as_bytes()))
 }
 
 /// Encodes a prepared app: the stitch plan, every node's executable
@@ -127,7 +139,7 @@ fn get_prepared(bytes: &[u8]) -> Result<(StitchPlan, Vec<NodeLoad>, Report), Dec
         let accel = match v.tag("accel presence")? {
             false => None,
             true => {
-                let a = get_accelerated(&mut v)?;
+                let a = Arc::new(get_accelerated(&mut v)?);
                 let partner = match v.tag("partner presence")? {
                     false => None,
                     true => Some(TileId(v.u8()?)),
@@ -206,7 +218,7 @@ mod tests {
             Arch::Stitch,
         );
 
-        let accel = kv.variants.first().cloned().map(|a| (a, None));
+        let accel = kv.variants.first().cloned().map(|a| (Arc::new(a), None));
         let loads = vec![
             NodeLoad {
                 program: program.clone(),

@@ -1,6 +1,6 @@
 //! The experiment workbench: compile → stitch → simulate → measure.
 
-use crate::artifact::{app_input_key, decode_prepared, encode_prepared};
+use crate::artifact::{app_input_key, decode_prepared, encode_prepared, program_digest};
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -10,12 +10,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
-use stitch_apps::{build_node_program, App};
+use stitch_apps::{build_node_program, build_placement_free_program, App};
 use stitch_cache::ArtifactStore;
 use stitch_compiler::{
-    accelerate_all, compile_kernel, decode_kernel_artifact, encode_kernel_artifact,
-    kernel_input_key, seed_verify_memo, stitch_application_masked, verify_kernel,
-    AcceleratedKernel, AppKernel, CompilerError, KernelVariants, PatchConfig, StitchPlan,
+    accelerate_all, accelerate_profiled, compile_kernel, decode_kernel_artifact,
+    encode_kernel_artifact, kernel_input_key, profile_program, seed_verify_memo,
+    stitch_application_masked, verify_kernel, AcceleratedKernel, AppKernel, CompilerError,
+    KernelVariants, PatchConfig, ProfileReport, StitchPlan, MEASURE_BUDGET,
 };
 use stitch_isa::Program;
 use stitch_kernels::Kernel;
@@ -172,9 +173,10 @@ pub enum SimEngine {
 /// Compiles kernels (with caching), runs the stitching algorithm and the
 /// chip simulator.
 ///
-/// Every clone of a workbench shares one memo of compiled kernels and
-/// prepared apps, so the worker clones of a threaded sweep or kernel
-/// table compile and stitch each input once between them.
+/// Every clone of a workbench shares one memo of compiled kernels,
+/// prepared apps, node profiles and node accelerations, so the worker
+/// clones of a threaded sweep or kernel table compile and stitch each
+/// input once between them.
 #[derive(Default, Clone)]
 pub struct Workbench {
     memo: Arc<Memo>,
@@ -189,11 +191,27 @@ pub struct Workbench {
 
 /// The in-memory tier of [`Workbench::variants`] and
 /// [`Workbench::prepare`], shared by every clone of a workbench.
+///
+/// `profiles` and `nodes` are the two tiers below `prepared`, so a new
+/// failed-patch mask re-places its nodes without re-profiling them.
+/// They have no store tier: a stored prepared point skips them whole.
 #[derive(Default)]
 struct Memo {
     kernels: Mutex<HashMap<String, Arc<KernelVariants>>>,
     prepared: Mutex<HashMap<PrepKey, Arc<Prepared>>>,
+    /// Profiles of placement-free node programs
+    /// ([`build_placement_free_program`]), by [`program_digest`].
+    profiles: Mutex<HashMap<[u8; 32], Arc<ProfileReport>>>,
+    /// One acceleration per wired node (see [`NodeKey`]); `None` when
+    /// the granted configuration found no candidate.
+    nodes: Mutex<HashMap<NodeKey, Option<Arc<AcceleratedKernel>>>>,
 }
+
+/// Everything one node's acceleration reads: the node name (it labels
+/// the CI descriptors), the granted configuration and the
+/// [`program_digest`] of the wired program. Sibling nodes with equal
+/// programs still accelerate once each.
+type NodeKey = (String, PatchConfig, [u8; 32]);
 
 /// Identity of one compile→stitch pipeline output: everything
 /// [`Workbench::prepare`] reads besides the (immutable) app definition
@@ -307,13 +325,13 @@ impl Workbench {
                 let (kv, report) = decode_kernel_artifact(payload)?;
                 (report.is_clean() && kv.name == spec.name).then(|| {
                     seed_verify_memo(&kv, report);
-                    kv
+                    Arc::new(kv)
                 })
             },
             || {
                 let program = program().as_ref().map_err(Clone::clone)?;
-                compile_kernel(spec.name, program, &Self::all_configs(), output_check)
-                    .map_err(Error::from)
+                let kv = compile_kernel(spec.name, program, &Self::all_configs(), output_check)?;
+                Ok(Arc::new(kv))
             },
             |kv| {
                 let report = verify_kernel(kv);
@@ -449,13 +467,18 @@ impl Workbench {
             |payload| {
                 let (plan, loads, clean_report) = decode_prepared(payload)?;
                 let fits = plan.tiles.len() == app.nodes.len() && loads.len() == app.nodes.len();
-                fits.then_some(Prepared {
-                    plan,
-                    loads,
-                    clean_report,
+                fits.then(|| {
+                    Arc::new(Prepared {
+                        plan,
+                        loads,
+                        clean_report,
+                    })
                 })
             },
-            || self.build_prepared(app, arch, frames, &masked),
+            || {
+                self.build_prepared(app, arch, frames, &masked)
+                    .map(Arc::new)
+            },
             // Only verified-clean bundles become artifacts: a reloaded
             // bundle substitutes for the live verify gate.
             |p| {
@@ -494,13 +517,9 @@ impl Workbench {
             let program = build_node_program(app, i, frames, &plan.tiles)?;
             let accel = match &plan.accel[i] {
                 None => None,
-                Some(granted) => {
-                    let accel = accelerate_all(&app.nodes[i].name, &program, &[granted.config])?;
-                    // An empty vec means the wired program exposed no
-                    // candidate for the granted configuration: run it
-                    // unaccelerated.
-                    accel.into_iter().next().map(|a| (a, granted.partner))
-                }
+                Some(granted) => self
+                    .accelerate_node(app, i, frames, &program, granted.config)?
+                    .map(|a| (a, granted.partner)),
             };
             loads.push(NodeLoad { program, accel });
         }
@@ -509,6 +528,42 @@ impl Workbench {
             plan,
             loads,
             clean_report,
+        })
+    }
+
+    /// Node `node`'s wired `program` accelerated for its granted
+    /// `config`: exactly `accelerate_all(name, program, &[config])`'s
+    /// first variant, or `None` when the wired program exposed no
+    /// candidate for the configuration (the node then runs
+    /// unaccelerated).
+    ///
+    /// Memoized per wired node, and profiled once per placement-free
+    /// program: a re-stitch that re-wires a node (it or a peer moved)
+    /// reuses its profile, and one that leaves its wiring unchanged
+    /// reuses its acceleration.
+    fn accelerate_node(
+        &self,
+        app: &App,
+        node: usize,
+        frames: u32,
+        program: &Program,
+        config: PatchConfig,
+    ) -> Result<Option<Arc<AcceleratedKernel>>, Error> {
+        let name = &app.nodes[node].name;
+        let free = build_placement_free_program(app, node, frames)?;
+        let (Some(free_key), Some(wired_key)) = (program_digest(&free), program_digest(program))
+        else {
+            // A program the codec cannot encode has no digest, so it
+            // bypasses the tiers.
+            let accel = accelerate_all(name, program, &[config])?;
+            return Ok(accel.into_iter().next().map(Arc::new));
+        };
+        in_memory(&self.memo.nodes, (name.clone(), config, wired_key), || {
+            let profile = in_memory(&self.memo.profiles, free_key, || {
+                Ok(Arc::new(profile_program(&free, MEASURE_BUDGET)?))
+            })?;
+            let accel = accelerate_profiled(name, program, &profile, &[config])?;
+            Ok(accel.into_iter().next().map(Arc::new))
         })
     }
 
@@ -725,24 +780,24 @@ impl Workbench {
     }
 }
 
-/// The one memo ladder behind [`Workbench::variants`] and
-/// [`Workbench::prepare`]: the in-memory `tier` that every clone
-/// shares; then the attached artifact store, whose key is computed
-/// only when one is attached and whose payload counts only if `load`
-/// accepts it; then `build`, whose output `save` encodes for a
-/// best-effort store write. The result then joins the memory tier. No
-/// lock is held while loading or building.
-fn memoized<K: Eq + Hash, V>(
-    tier: &Mutex<HashMap<K, Arc<V>>>,
+/// The one memo ladder behind every tier of [`Memo`]: the in-memory
+/// `tier` that every clone shares; then the attached artifact store,
+/// whose key is computed only when one is attached and whose payload
+/// counts only if `load` accepts it; then `build`, whose output `save`
+/// encodes for a best-effort store write. The result then joins the
+/// memory tier. No lock is held while loading or building. Values are
+/// `Arc`s (or options of them), so a hit clones a pointer.
+fn memoized<K: Eq + Hash, V: Clone>(
+    tier: &Mutex<HashMap<K, V>>,
     key: K,
     store: Option<&ArtifactStore>,
     store_key: impl FnOnce() -> Option<String>,
     load: impl FnOnce(&[u8]) -> Option<V>,
     build: impl FnOnce() -> Result<V, Error>,
     save: impl FnOnce(&V) -> Option<Vec<u8>>,
-) -> Result<Arc<V>, Error> {
+) -> Result<V, Error> {
     if let Some(v) = lock(tier).get(&key) {
-        return Ok(Arc::clone(v));
+        return Ok(v.clone());
     }
     let store = store.and_then(|s| Some((s, store_key()?)));
     let loaded = store.as_ref().and_then(|(s, sk)| load(&s.load(sk)?));
@@ -760,9 +815,17 @@ fn memoized<K: Eq + Hash, V>(
             v
         }
     };
-    let v = Arc::new(v);
-    lock(tier).insert(key, Arc::clone(&v));
+    lock(tier).insert(key, v.clone());
     Ok(v)
+}
+
+/// [`memoized`] for an in-memory tier with no store behind it.
+fn in_memory<K: Eq + Hash, V: Clone>(
+    tier: &Mutex<HashMap<K, V>>,
+    key: K,
+    build: impl FnOnce() -> Result<V, Error>,
+) -> Result<V, Error> {
+    memoized(tier, key, None, || None, |_| None, build, |_| None)
 }
 
 /// Locks a memo tier. Every critical section is one `get` or `insert`,
@@ -777,7 +840,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// acceleration and the compiler found a mapping.
 pub(crate) struct NodeLoad {
     pub(crate) program: Program,
-    pub(crate) accel: Option<(AcceleratedKernel, Option<TileId>)>,
+    pub(crate) accel: Option<(Arc<AcceleratedKernel>, Option<TileId>)>,
 }
 
 /// The pre-simulation static gate: verifies everything a run is about
@@ -895,6 +958,7 @@ mod tests {
     use stitch_apps::NodeSpec;
     use stitch_kernels::misc::Histogram;
     use stitch_kernels::signal::UpdateFeature;
+    use stitch_sim::FaultSpace;
 
     fn small_kernels() -> Vec<Box<dyn Kernel>> {
         vec![Box::new(Histogram::new(8)), Box::new(UpdateFeature::new(8))]
@@ -971,5 +1035,72 @@ mod tests {
             assert_eq!(swept.node_outputs, fresh.node_outputs, "{:?}", p.arch);
             assert_eq!(swept.plan, fresh.plan, "{:?}", p.arch);
         }
+    }
+
+    /// Every load of `prep` is what the memo-free pipeline builds: the
+    /// wired program, and for a granted node exactly `accelerate_all`'s
+    /// variant of it.
+    fn assert_loads_exact(app: &App, frames: u32, prep: &Prepared, what: &str) {
+        for (i, load) in prep.loads.iter().enumerate() {
+            let name = &app.nodes[i].name;
+            let wired = build_node_program(app, i, frames, &prep.plan.tiles).expect("wires");
+            assert_eq!(load.program, wired, "{what} {name}: wired program");
+            let direct = prep.plan.accel[i].as_ref().and_then(|g| {
+                let accel = accelerate_all(name, &wired, &[g.config]).expect("accelerates");
+                accel.into_iter().next().map(|a| (a, g.partner))
+            });
+            let memoized = load
+                .accel
+                .as_ref()
+                .map(|(a, p)| (AcceleratedKernel::clone(a), *p));
+            assert_eq!(memoized, direct, "{what} {name}: acceleration");
+        }
+    }
+
+    #[test]
+    fn node_tiers_are_exact_and_masks_reuse_profiles() {
+        const FRAMES: u32 = 2;
+        let space = FaultSpace::default().compute_only();
+        let mut ws = Workbench::new();
+        let mut profiled = std::collections::HashSet::new();
+        for app in App::all() {
+            for arch in Arch::ALL {
+                let prep = ws.prepare(&app, arch, FRAMES, None).expect("prepares");
+                assert_loads_exact(&app, FRAMES, &prep, &format!("{}/{arch:?}", app.name));
+                for (i, _) in prep
+                    .plan
+                    .accel
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, g)| g.is_some())
+                {
+                    let free = build_placement_free_program(&app, i, FRAMES).expect("builds");
+                    profiled.insert(program_digest(&free).expect("encodes"));
+                }
+            }
+            let entries = lock(&ws.memo.profiles).len();
+            // Two plans with distinct, non-empty failed-patch masks.
+            let mut masks = std::collections::HashSet::from([Vec::new()]);
+            let masked = (0..)
+                .map(|seed| FaultPlan::random(seed, &space))
+                .filter(|plan| masks.insert(plan.failed_patches()))
+                .take(2);
+            for plan in masked {
+                let what = format!("{}/plan{}", app.name, plan.seed());
+                let prep = ws
+                    .prepare(&app, Arch::Stitch, FRAMES, Some(&plan))
+                    .expect("prepares");
+                assert_loads_exact(&app, FRAMES, &prep, &what);
+                assert_eq!(
+                    lock(&ws.memo.profiles).len(),
+                    entries,
+                    "{what}: a masked re-prepare must not profile"
+                );
+            }
+        }
+        // One profile per distinct placement-free program: the 64 nodes
+        // of the four apps share 18.
+        assert_eq!(lock(&ws.memo.profiles).len(), profiled.len());
+        assert!(profiled.len() <= 18, "{} profiles", profiled.len());
     }
 }
