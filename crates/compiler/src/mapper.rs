@@ -43,8 +43,9 @@ pub enum PatchConfig {
 }
 
 impl PatchConfig {
-    /// All configurations explored by the driver: three singles, all
-    /// ordered pairs, and LOCUS.
+    /// All configurations explored by the driver: three singles first (so
+    /// ties prefer cheaper allocations), then all ordered pairs, then
+    /// LOCUS.
     #[must_use]
     pub fn all() -> Vec<PatchConfig> {
         let mut v: Vec<PatchConfig> = PatchClass::STITCH

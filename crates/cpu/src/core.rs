@@ -121,14 +121,28 @@ pub(crate) struct TextImage {
     pub(crate) word_offsets: Vec<u32>,
 }
 
-/// Mutable architectural state: registers, PC, run state, counters.
-#[derive(Debug, Clone)]
-pub(crate) struct ArchState {
-    pub(crate) regs: [u32; 32],
-    pub(crate) pc: u32,
-    pub(crate) state: CoreState,
-    pub(crate) stats: CoreStats,
+/// Mutable architectural state: registers, PC, run state, counters —
+/// everything `step` mutates, and so also the core's snapshot
+/// ([`CoreSnapshot`]).
+///
+/// The program text is *not* part of it — a snapshot restores into a
+/// core running the same program (the chip validates program identity
+/// before restoring). Statistics are included because the simulator's
+/// `RunSummary` equivalence contract extends to every counter.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ArchState {
+    /// Architectural register file.
+    pub regs: [u32; 32],
+    /// Program counter (instruction index).
+    pub pc: u32,
+    /// Run state.
+    pub state: CoreState,
+    /// Counters accumulated so far.
+    pub stats: CoreStats,
 }
+
+/// Architectural snapshot of one core: its [`ArchState`] itself.
+pub use self::ArchState as CoreSnapshot;
 
 impl ArchState {
     /// Reads a register (the zero register reads zero).
@@ -165,25 +179,6 @@ impl ArchState {
 pub struct Core {
     pub(crate) text: TextImage,
     pub(crate) arch: ArchState,
-}
-
-/// Architectural snapshot of one core: everything `step` mutates.
-///
-/// The program text is *not* part of the snapshot — a snapshot restores
-/// into a core running the same program (the chip validates program
-/// identity before restoring). Statistics are included because the
-/// simulator's `RunSummary` equivalence contract extends to every
-/// counter.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoreSnapshot {
-    /// Architectural register file.
-    pub regs: [u32; 32],
-    /// Program counter (instruction index).
-    pub pc: u32,
-    /// Run state.
-    pub state: CoreState,
-    /// Counters accumulated so far.
-    pub stats: CoreStats,
 }
 
 impl Core {
@@ -249,22 +244,14 @@ impl Core {
     /// Captures the core's full architectural state.
     #[must_use]
     pub fn snapshot(&self) -> CoreSnapshot {
-        CoreSnapshot {
-            regs: self.arch.regs,
-            pc: self.arch.pc,
-            state: self.arch.state,
-            stats: self.arch.stats,
-        }
+        self.arch.clone()
     }
 
     /// Restores a previously captured snapshot. The program text is left
     /// untouched; a snapshot whose `pc` does not fit the current text
     /// surfaces as a typed [`CpuError::PcOutOfRange`] on the next step.
     pub fn restore(&mut self, snap: &CoreSnapshot) {
-        self.arch.regs = snap.regs;
-        self.arch.pc = snap.pc;
-        self.arch.state = snap.state;
-        self.arch.stats = snap.stats;
+        self.arch.clone_from(snap);
     }
 
     /// Number of instructions in the loaded program text (used by the

@@ -28,7 +28,7 @@ pub mod translate;
 
 pub use crate::core::{Core, CoreSnapshot, CoreState, CustomOutcome, Platform, StepOutcome};
 pub use stats::CoreStats;
-pub use translate::{LaneBank, LaneHost, LaneRun, TransCache, WindowParams};
+pub use translate::{LaneHost, LaneRun, TransCache, WindowParams};
 
 /// Multiply latency on the base pipeline, in cycles. The open-source
 /// Amber core the paper synthesizes uses an iterative multiplier (tens of

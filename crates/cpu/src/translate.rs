@@ -6,9 +6,9 @@
 //! *compute windows* instead: straight-line stretches where the chip has
 //! proven no chip-level event (message delivery, fault injection,
 //! checkpoint, deadline) can land. Within a window the core runs from a
-//! per-core [`TransCache`] of lowered [`MicroBlock`]s, with the register
-//! files of all participating tiles batched struct-of-arrays in a shared
-//! [`LaneBank`].
+//! per-core [`TransCache`] of lowered [`MicroBlock`]s, on a stack-local
+//! copy of the core's register file that is committed back when the
+//! window ends.
 //!
 //! ## Bit-exactness contract
 //!
@@ -146,68 +146,6 @@ impl TransCache {
     }
 }
 
-/// Struct-of-arrays register bank for the tiles participating in a
-/// window: register `r` of lane `l` lives at `regs[r * lanes + l]`, so a
-/// window sweeping the same micro-op pattern across tiles walks the bank
-/// with unit stride per register index instead of hopping between
-/// per-core `[u32; 32]` files.
-#[derive(Debug, Clone)]
-pub struct LaneBank {
-    lanes: usize,
-    regs: Vec<u32>,
-}
-
-impl LaneBank {
-    /// Creates a bank for `lanes` tiles.
-    #[must_use]
-    pub fn new(lanes: usize) -> Self {
-        LaneBank {
-            lanes,
-            regs: vec![0; lanes * 32],
-        }
-    }
-
-    /// Number of lanes the bank was sized for.
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Reads register `r` of `lane` (exercised by the disjointness test;
-    /// window execution goes through a lane-local copy instead — see
-    /// [`Core::run_translated`]).
-    #[cfg(test)]
-    fn get(&self, r: Reg, lane: usize) -> u32 {
-        if r.is_zero() {
-            0
-        } else {
-            self.regs[r.index() as usize * self.lanes + lane]
-        }
-    }
-
-    /// Writes register `r` of `lane` (test-only; see [`LaneBank::get`]).
-    #[cfg(test)]
-    fn set(&mut self, r: Reg, lane: usize, value: u32) {
-        if !r.is_zero() {
-            self.regs[r.index() as usize * self.lanes + lane] = value;
-        }
-    }
-
-    /// Gathers a core's register file into the lane.
-    fn load_lane(&mut self, lane: usize, regs: &[u32; 32]) {
-        for (r, &v) in regs.iter().enumerate() {
-            self.regs[r * self.lanes + lane] = v;
-        }
-    }
-
-    /// Scatters the lane back into a core's register file.
-    fn store_lane(&self, lane: usize, regs: &mut [u32; 32]) {
-        for (r, v) in regs.iter_mut().enumerate() {
-            *v = self.regs[r * self.lanes + lane];
-        }
-    }
-}
-
 /// Window bounds and capabilities for one lane run.
 #[derive(Debug, Clone, Copy)]
 pub struct WindowParams {
@@ -273,27 +211,22 @@ impl Core {
     /// Executes translated micro-ops from `cache` starting at the
     /// current pc, first instruction starting at `p.start`, stopping
     /// when the next instruction would start past `p.horizon` or at a
-    /// side exit (see the module docs for the exact rules). Registers
-    /// are staged through `bank` lane `lane`; pc, registers, and
+    /// side exit (see the module docs for the exact rules). The window
+    /// works on a stack-local copy of the registers; pc, registers, and
     /// statistics are committed back to the core on return.
     ///
     /// The caller must only invoke this on a running, non-waiting core.
     pub fn run_translated<H: LaneHost>(
         &mut self,
         cache: &mut TransCache,
-        bank: &mut LaneBank,
-        lane: usize,
         host: &mut H,
         p: WindowParams,
     ) -> LaneRun {
         let text = &self.text;
         let arch = &mut self.arch;
         let len = text.instrs.len() as u32;
-        bank.load_lane(lane, &arch.regs);
-        // Work on a stack-local copy of the lane: 128 contiguous bytes
-        // with compile-time-bounded indices, instead of strided bank
-        // accesses on every operand. The bank lane is recommitted below,
-        // so its state at window end is identical.
+        // A stack-local register copy: 128 contiguous bytes with
+        // compile-time-bounded indices, committed back below.
         let mut regs = arch.regs;
         let mut stats = arch.stats;
         let mut pc = arch.pc;
@@ -513,8 +446,7 @@ impl Core {
                 }
             }
         }
-        bank.load_lane(lane, &regs);
-        bank.store_lane(lane, &mut arch.regs);
+        arch.regs = regs;
         arch.pc = pc;
         arch.stats = stats;
         LaneRun {
@@ -678,11 +610,8 @@ mod tests {
         let mut core = Core::new(&program);
         let mut host = FlatHost::new();
         let mut cache = TransCache::new();
-        let mut bank = LaneBank::new(1);
         let run = core.run_translated(
             &mut cache,
-            &mut bank,
-            0,
             &mut host,
             WindowParams {
                 start: 1,
@@ -726,7 +655,6 @@ mod tests {
         let mut core = Core::new(&program);
         let mut host = FlatHost::new();
         let mut cache = TransCache::new();
-        let mut bank = LaneBank::new(1);
         // Run in many small windows; the clock must be preserved across
         // horizon stops.
         let mut t = 1u64;
@@ -734,8 +662,6 @@ mod tests {
         loop {
             let run = core.run_translated(
                 &mut cache,
-                &mut bank,
-                0,
                 &mut host,
                 WindowParams {
                     start: t,
@@ -755,15 +681,32 @@ mod tests {
 
     #[test]
     fn bank_keeps_lanes_disjoint_and_r0_zero() {
-        let mut bank = LaneBank::new(4);
-        bank.set(Reg::R5, 1, 77);
-        bank.set(Reg::R5, 2, 88);
-        bank.set(Reg::R0, 3, 123);
-        assert_eq!(bank.get(Reg::R5, 1), 77);
-        assert_eq!(bank.get(Reg::R5, 2), 88);
-        assert_eq!(bank.get(Reg::R5, 0), 0);
-        assert_eq!(bank.get(Reg::R0, 3), 0);
-        assert_eq!(bank.lanes(), 4);
+        // A window that targets r0 must leave it zero, and running one
+        // core's window must leave every other core's registers alone.
+        let mut b = ProgramBuilder::new();
+        b.addi(Reg::R0, Reg::R0, 123);
+        b.li(Reg::R5, 77);
+        b.add(Reg::R6, Reg::R5, Reg::R0);
+        b.halt();
+        let program = b.build().expect("program");
+        let mut core = Core::new(&program);
+        let mut other = Core::new(&program);
+        other.set_reg(Reg::R5, 88);
+        let before = other.snapshot();
+        let mut host = FlatHost::new();
+        let run = core.run_translated(
+            &mut TransCache::new(),
+            &mut host,
+            WindowParams {
+                start: 1,
+                horizon: u64::MAX,
+            },
+        );
+        assert!(run.side_exit, "stops at the halt");
+        assert_eq!(core.arch.regs[0], 0, "r0 stays zero in the register file");
+        assert_eq!(core.reg(Reg::R5), 77);
+        assert_eq!(core.reg(Reg::R6), 77);
+        assert_eq!(other.snapshot(), before);
     }
 
     #[test]

@@ -89,27 +89,21 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    valid: bool,
-    dirty: bool,
-    tag: u32,
-    /// Monotonic timestamp of last touch, for LRU.
-    lru: u64,
-}
-
-/// Snapshot of one cache way (public mirror of the internal line state).
+/// One cache way; a [`CacheSnapshot`] holds these verbatim.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LineSnapshot {
+pub struct Line {
     /// Block resident.
     pub valid: bool,
     /// Block modified since fill.
     pub dirty: bool,
     /// Address tag.
     pub tag: u32,
-    /// LRU timestamp of the last touch.
+    /// Monotonic timestamp of the last touch, for LRU.
     pub lru: u64,
 }
+
+/// Snapshot of one cache way: the live [`Line`] itself.
+pub use self::Line as LineSnapshot;
 
 /// Full residency/timing snapshot of a [`Cache`]: every line (including
 /// LRU timestamps — replacement order is part of the simulator's
@@ -117,7 +111,7 @@ pub struct LineSnapshot {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheSnapshot {
     /// All lines, in `set * ways + way` order.
-    pub lines: Vec<LineSnapshot>,
+    pub lines: Vec<Line>,
     /// Counters at capture time.
     pub stats: CacheStats,
     /// LRU clock at capture time.
@@ -307,34 +301,17 @@ impl Cache {
     #[must_use]
     pub fn snapshot(&self) -> CacheSnapshot {
         CacheSnapshot {
-            lines: self
-                .sets
-                .iter()
-                .map(|l| LineSnapshot {
-                    valid: l.valid,
-                    dirty: l.dirty,
-                    tag: l.tag,
-                    lru: l.lru,
-                })
-                .collect(),
+            lines: self.sets.clone(),
             stats: self.stats,
             tick: self.tick,
         }
     }
 
     /// Restores a snapshot captured from a cache with the same geometry
-    /// (the chip validates geometry before restoring; mismatched line
-    /// counts are a caller bug).
+    /// (the chip validates geometry before restoring; a mismatched line
+    /// count is a caller bug and panics).
     pub fn restore(&mut self, snap: &CacheSnapshot) {
-        debug_assert_eq!(snap.lines.len(), self.sets.len(), "cache geometry mismatch");
-        for (line, s) in self.sets.iter_mut().zip(&snap.lines) {
-            *line = Line {
-                valid: s.valid,
-                dirty: s.dirty,
-                tag: s.tag,
-                lru: s.lru,
-            };
-        }
+        self.sets.copy_from_slice(&snap.lines);
         self.stats = snap.stats;
         self.tick = snap.tick;
     }

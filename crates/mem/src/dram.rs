@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_BITS: u32 = 12;
-/// Bytes per DRAM page (the granularity of dirty tracking and snapshots).
+/// Bytes per DRAM page (the granularity of allocation and snapshots).
 pub const PAGE_SIZE: usize = 1 << PAGE_BITS;
 
 /// Fibonacci multiply-shift hasher for the `u32` page keys.
@@ -52,19 +52,10 @@ type PageMap = HashMap<u32, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>
 #[derive(Debug, Clone, Default)]
 pub struct Dram {
     pages: PageMap,
-    /// Pages written since the last snapshot/refresh (dirty-page delta
-    /// tracking for incremental checkpoints).
-    dirty: std::collections::HashSet<u32, BuildHasherDefault<PageHasher>>,
-    /// Last page marked dirty — consecutive stores hit the same page, so
-    /// this one-entry cache keeps the hot store path to a single compare.
-    last_dirty: u32,
 }
 
-/// Sparse copy of a [`Dram`]'s resident pages, sorted by page index.
-///
-/// Produced by [`Dram::snapshot`] and updated in place by
-/// [`Dram::refresh_snapshot`], which copies only pages dirtied since the
-/// previous capture (delta checkpointing, not a full re-copy).
+/// Sparse copy of a [`Dram`]'s resident pages, sorted by page index,
+/// produced by [`Dram::snapshot`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DramSnapshot {
     /// `(page index, page contents)` pairs in ascending page order.
@@ -77,8 +68,6 @@ impl Dram {
     pub fn new() -> Self {
         Dram {
             pages: PageMap::default(),
-            dirty: Default::default(),
-            last_dirty: u32::MAX,
         }
     }
 
@@ -87,48 +76,17 @@ impl Dram {
     }
 
     fn page_mut(&mut self, addr: u32) -> &mut [u8; PAGE_SIZE] {
-        let idx = addr >> PAGE_BITS;
-        if idx != self.last_dirty {
-            self.dirty.insert(idx);
-            self.last_dirty = idx;
-        }
         self.pages
-            .entry(idx)
+            .entry(addr >> PAGE_BITS)
             .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
     }
 
-    /// Captures a full (but sparse) copy of every resident page and
-    /// clears the dirty-page set: the returned snapshot is the new delta
-    /// baseline for [`Dram::refresh_snapshot`].
+    /// Captures a full (but sparse) copy of every resident page.
     #[must_use]
-    pub fn snapshot(&mut self) -> DramSnapshot {
+    pub fn snapshot(&self) -> DramSnapshot {
         let mut pages: Vec<_> = self.pages.iter().map(|(k, v)| (*k, v.clone())).collect();
         pages.sort_unstable_by_key(|(k, _)| *k);
-        self.dirty.clear();
-        self.last_dirty = u32::MAX;
         DramSnapshot { pages }
-    }
-
-    /// Brings `snap` (a snapshot previously captured from *this* memory)
-    /// up to date by re-copying only the pages written since the last
-    /// capture, then clears the dirty set. Cost is proportional to the
-    /// write set, not the resident set.
-    pub fn refresh_snapshot(&mut self, snap: &mut DramSnapshot) {
-        if self.dirty.is_empty() {
-            return;
-        }
-        let mut dirty: Vec<u32> = self.dirty.drain().collect();
-        dirty.sort_unstable();
-        self.last_dirty = u32::MAX;
-        for idx in dirty {
-            let Some(contents) = self.pages.get(&idx) else {
-                continue;
-            };
-            match snap.pages.binary_search_by_key(&idx, |(k, _)| *k) {
-                Ok(i) => snap.pages[i].1.copy_from_slice(contents.as_ref()),
-                Err(i) => snap.pages.insert(i, (idx, contents.clone())),
-            }
-        }
     }
 
     /// Replaces the entire memory contents with a snapshot's pages.
@@ -139,8 +97,6 @@ impl Dram {
         for (idx, contents) in &snap.pages {
             self.pages.insert(*idx, contents.clone());
         }
-        self.dirty.clear();
-        self.last_dirty = u32::MAX;
     }
 
     /// Reads one byte.
@@ -284,21 +240,21 @@ mod tests {
 
     #[test]
     fn snapshot_refresh_copies_only_dirty_pages() {
+        // A fresh capture after more writes holds every written page,
+        // old and new, and restoring it drops pages allocated later.
         let mut d = Dram::new();
         d.write_u32(0x0000, 1);
         d.write_u32(0x5000, 2);
-        let mut snap = d.snapshot();
-        assert_eq!(snap.pages.len(), 2);
-        d.write_u32(0x5000, 3); // dirty an existing page
+        assert_eq!(d.snapshot().pages.len(), 2);
+        d.write_u32(0x5000, 3); // rewrite an existing page
         d.write_u32(0x9000, 4); // allocate a new page
-        d.refresh_snapshot(&mut snap);
+        let snap = d.snapshot();
         assert_eq!(snap.pages.len(), 3);
         let mut fresh = Dram::new();
         fresh.restore(&snap);
         assert_eq!(fresh.read_u32(0x0000), 1);
         assert_eq!(fresh.read_u32(0x5000), 3);
         assert_eq!(fresh.read_u32(0x9000), 4);
-        // Restoring drops pages allocated after the capture.
         d.write_u32(0xF000, 9);
         d.restore(&snap);
         assert_eq!(d.read_u32(0xF000), 0);
@@ -307,17 +263,20 @@ mod tests {
 
     #[test]
     fn refresh_after_restore_stays_consistent() {
+        // snapshot -> restore -> snapshot is the identity, and a capture
+        // after restore reflects the restored image, not the pages
+        // written before it.
         let mut d = Dram::new();
         d.write_u32(0x1000, 7);
-        let mut snap = d.snapshot();
+        let snap = d.snapshot();
+        d.write_u32(0x1000, 6);
         d.write_u32(0x2000, 8);
         d.restore(&snap);
-        // Nothing dirty after a restore: refresh must be a no-op.
-        d.refresh_snapshot(&mut snap);
-        assert_eq!(snap.pages.len(), 1);
+        assert_eq!(d.snapshot(), snap);
         d.write_u32(0x3000, 9);
-        d.refresh_snapshot(&mut snap);
-        assert_eq!(snap.pages.len(), 2);
+        let later = d.snapshot();
+        assert_eq!(later.pages.len(), 2);
+        assert_eq!(later.pages[0], snap.pages[0]);
     }
 
     #[test]

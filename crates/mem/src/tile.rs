@@ -261,11 +261,10 @@ impl TileMemory {
         self.dram.resident_pages()
     }
 
-    /// Captures a full snapshot of the tile's memory system. DRAM pages
-    /// are captured sparsely and the dirty set is reset, so a later
-    /// [`TileMemory::refresh_snapshot`] only re-copies written pages.
+    /// Captures a full snapshot of the tile's memory system (DRAM pages
+    /// sparsely, caches and SPM whole).
     #[must_use]
-    pub fn snapshot(&mut self) -> TileMemorySnapshot {
+    pub fn snapshot(&self) -> TileMemorySnapshot {
         TileMemorySnapshot {
             dram: self.dram.snapshot(),
             icache: self.icache.snapshot(),
@@ -274,18 +273,29 @@ impl TileMemory {
         }
     }
 
-    /// Updates a snapshot previously captured from *this* tile memory:
-    /// DRAM incrementally via its dirty-page delta, caches and SPM by
-    /// re-capture (they are kilobytes, the DRAM is the bulk).
-    pub fn refresh_snapshot(&mut self, snap: &mut TileMemorySnapshot) {
-        self.dram.refresh_snapshot(&mut snap.dram);
-        snap.icache = self.icache.snapshot();
-        snap.dcache = self.dcache.snapshot();
-        snap.spm = self.spm.snapshot();
+    /// Checks that `snap` fits this memory's geometry: the SPM image is
+    /// exactly the SPM's size and each cache holds exactly one line per
+    /// way of every set. Snapshots are untrusted input, so a clean pass
+    /// here is the precondition for [`TileMemory::restore`].
+    ///
+    /// # Errors
+    ///
+    /// The name of the first mismatched component.
+    pub fn check_snapshot(&self, snap: &TileMemorySnapshot) -> Result<(), &'static str> {
+        let lines = |c: CacheConfig| (c.sets() * c.ways) as usize;
+        if snap.spm.data.len() != self.spm.size() as usize {
+            return Err("SPM image length");
+        }
+        if snap.icache.lines.len() != lines(self.cfg.icache) {
+            return Err("icache line count");
+        }
+        if snap.dcache.lines.len() != lines(self.cfg.dcache) {
+            return Err("dcache line count");
+        }
+        Ok(())
     }
 
-    /// Restores a snapshot captured from a tile memory with the same
-    /// configuration (validated by the chip before restoring).
+    /// Restores a snapshot that passed [`TileMemory::check_snapshot`].
     pub fn restore(&mut self, snap: &TileMemorySnapshot) {
         self.dram.restore(&snap.dram);
         self.icache.restore(&snap.icache);

@@ -73,22 +73,32 @@ impl MeshStats {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Flit {
-    dst: TileId,
-    src: TileId,
-    is_head: bool,
-    is_tail: bool,
+/// One flit, buffered at a router or queued for injection; a
+/// [`MeshSnapshot`] holds these verbatim.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Flit {
+    /// Destination tile.
+    pub dst: TileId,
+    /// Source tile.
+    pub src: TileId,
+    /// Head flit of its packet.
+    pub is_head: bool,
+    /// Tail flit of its packet.
+    pub is_tail: bool,
     /// Payload word (heads of control packets carry one word too).
-    word: u32,
+    pub word: u32,
     /// Message id for reassembly.
-    msg_id: u64,
+    pub msg_id: u64,
     /// Total words of the whole message (carried on every head).
-    msg_len: u32,
-    injected_at: u64,
+    pub msg_len: u32,
+    /// Injection cycle (for latency accounting).
+    pub injected_at: u64,
     /// Cycle at which the flit becomes eligible at its current router.
-    ready_at: u64,
+    pub ready_at: u64,
 }
+
+/// Snapshot of one in-flight flit: the live [`Flit`] itself.
+pub use self::Flit as FlitSnapshot;
 
 const PORTS: usize = 5; // N,E,S,W + Local
 
@@ -214,51 +224,10 @@ pub struct Message {
     pub words: Vec<u32>,
 }
 
-#[derive(Debug, Default)]
-struct Reassembly {
-    src: TileId,
-    msg_id: u64,
-    expected: u32,
-    words: Vec<u32>,
-}
-
-/// Snapshot of one in-flight flit (public mirror of the internal state).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlitSnapshot {
-    /// Destination tile.
-    pub dst: TileId,
-    /// Source tile.
-    pub src: TileId,
-    /// Head flit of its packet.
-    pub is_head: bool,
-    /// Tail flit of its packet.
-    pub is_tail: bool,
-    /// Payload word.
-    pub word: u32,
-    /// Message id for reassembly.
-    pub msg_id: u64,
-    /// Total words of the whole message.
-    pub msg_len: u32,
-    /// Injection cycle (for latency accounting).
-    pub injected_at: u64,
-    /// Cycle at which the flit becomes eligible at its current router.
-    pub ready_at: u64,
-}
-
-/// Snapshot of one router: buffered flits plus wormhole/arbiter state.
+/// One in-progress message reassembly at a destination NIC; a
+/// [`MeshSnapshot`] holds these verbatim.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RouterSnapshot {
-    /// Input buffers in port order (N, E, S, W, local).
-    pub inputs: [Vec<FlitSnapshot>; PORTS],
-    /// Which input currently owns each output port.
-    pub out_owner: [Option<u8>; PORTS],
-    /// Round-robin pointer per output.
-    pub rr: [u8; PORTS],
-}
-
-/// Snapshot of one in-progress message reassembly at a destination NIC.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReassemblySnapshot {
+pub struct Reassembly {
     /// Sender tile.
     pub src: TileId,
     /// Message id.
@@ -267,6 +236,20 @@ pub struct ReassemblySnapshot {
     pub expected: u32,
     /// Words received so far.
     pub words: Vec<u32>,
+}
+
+/// Snapshot of one in-progress reassembly: the live [`Reassembly`] itself.
+pub use self::Reassembly as ReassemblySnapshot;
+
+/// Snapshot of one router: buffered flits plus wormhole/arbiter state.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RouterSnapshot {
+    /// Input buffers in port order (N, E, S, W, local).
+    pub inputs: [Vec<Flit>; PORTS],
+    /// Which input currently owns each output port.
+    pub out_owner: [Option<u8>; PORTS],
+    /// Round-robin pointer per output.
+    pub rr: [u8; PORTS],
 }
 
 /// Complete state of a [`Mesh`]: every buffered flit, credit-relevant
@@ -278,9 +261,9 @@ pub struct MeshSnapshot {
     /// Per-router buffered flits and arbiter state.
     pub routers: Vec<RouterSnapshot>,
     /// Per-tile injection queues (packets awaiting the local port).
-    pub inject: Vec<Vec<Vec<FlitSnapshot>>>,
+    pub inject: Vec<Vec<Vec<Flit>>>,
     /// Per-tile in-flight reassemblies.
-    pub assembling: Vec<Vec<ReassemblySnapshot>>,
+    pub assembling: Vec<Vec<Reassembly>>,
     /// Per-tile delivered messages not yet consumed.
     pub delivered: Vec<Vec<Message>>,
     /// Traffic statistics at capture time.
@@ -832,23 +815,12 @@ impl Mesh {
     /// they are transient within one `tick`).
     #[must_use]
     pub fn snapshot(&self) -> MeshSnapshot {
-        let flit = |f: &Flit| FlitSnapshot {
-            dst: f.dst,
-            src: f.src,
-            is_head: f.is_head,
-            is_tail: f.is_tail,
-            word: f.word,
-            msg_id: f.msg_id,
-            msg_len: f.msg_len,
-            injected_at: f.injected_at,
-            ready_at: f.ready_at,
-        };
         MeshSnapshot {
             routers: self
                 .routers
                 .iter()
                 .map(|r| RouterSnapshot {
-                    inputs: std::array::from_fn(|p| r.inputs[p].iter().map(flit).collect()),
+                    inputs: std::array::from_fn(|p| r.inputs[p].iter().copied().collect()),
                     out_owner: std::array::from_fn(|p| r.out_owner[p].map(|o| o as u8)),
                     rr: std::array::from_fn(|p| r.rr[p] as u8),
                 })
@@ -856,22 +828,9 @@ impl Mesh {
             inject: self
                 .inject
                 .iter()
-                .map(|q| q.iter().map(|pkt| pkt.iter().map(flit).collect()).collect())
+                .map(|q| q.iter().map(|pkt| pkt.iter().copied().collect()).collect())
                 .collect(),
-            assembling: self
-                .assembling
-                .iter()
-                .map(|v| {
-                    v.iter()
-                        .map(|a| ReassemblySnapshot {
-                            src: a.src,
-                            msg_id: a.msg_id,
-                            expected: a.expected,
-                            words: a.words.clone(),
-                        })
-                        .collect()
-                })
-                .collect(),
+            assembling: self.assembling.clone(),
             delivered: self
                 .delivered
                 .iter()
@@ -921,7 +880,7 @@ impl Mesh {
                 })
             }
         };
-        let flit_ok = |f: &FlitSnapshot| {
+        let flit_ok = |f: &Flit| {
             tile_ok(f.dst)?;
             tile_ok(f.src)
         };
@@ -989,21 +948,10 @@ impl Mesh {
     /// Any [`MeshError`] the snapshot fails validation with.
     pub fn restore(&mut self, snap: &MeshSnapshot) -> Result<(), MeshError> {
         self.validate_snapshot(snap)?;
-        let flit = |f: &FlitSnapshot| Flit {
-            dst: f.dst,
-            src: f.src,
-            is_head: f.is_head,
-            is_tail: f.is_tail,
-            word: f.word,
-            msg_id: f.msg_id,
-            msg_len: f.msg_len,
-            injected_at: f.injected_at,
-            ready_at: f.ready_at,
-        };
         for (r, s) in self.routers.iter_mut().zip(&snap.routers) {
             for p in 0..PORTS {
                 r.inputs[p].clear();
-                r.inputs[p].extend(s.inputs[p].iter().map(flit));
+                r.inputs[p].extend(s.inputs[p].iter().copied());
                 r.out_owner[p] = s.out_owner[p].map(usize::from);
                 r.rr[p] = usize::from(s.rr[p]);
             }
@@ -1012,18 +960,10 @@ impl Mesh {
             q.clear();
             q.extend(
                 s.iter()
-                    .map(|pkt| pkt.iter().map(flit).collect::<VecDeque<_>>()),
+                    .map(|pkt| pkt.iter().copied().collect::<VecDeque<_>>()),
             );
         }
-        for (v, s) in self.assembling.iter_mut().zip(&snap.assembling) {
-            v.clear();
-            v.extend(s.iter().map(|a| Reassembly {
-                src: a.src,
-                msg_id: a.msg_id,
-                expected: a.expected,
-                words: a.words.clone(),
-            }));
-        }
+        self.assembling.clone_from(&snap.assembling);
         for (q, s) in self.delivered.iter_mut().zip(&snap.delivered) {
             q.clear();
             q.extend(s.iter().cloned());

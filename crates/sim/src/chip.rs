@@ -10,8 +10,8 @@ use crate::{ChipConfig, TileId};
 use std::collections::HashMap;
 use std::fmt;
 use stitch_cpu::{
-    Core, CoreState, CpuError, CustomOutcome, LaneBank, LaneHost, PatchFaultKind, Platform,
-    StepOutcome, TransCache, WindowParams, MUL_LATENCY,
+    Core, CoreState, CpuError, CustomOutcome, LaneHost, PatchFaultKind, Platform, StepOutcome,
+    TransCache, WindowParams, MUL_LATENCY,
 };
 use stitch_fault::{FaultKind, FaultPlan};
 use stitch_isa::custom::CiId;
@@ -765,8 +765,6 @@ pub struct Chip {
     /// Per-tile translation caches (cleared on program swap; not part of
     /// snapshots — lowering is a pure function of the loaded program).
     trans: Vec<TransCache>,
-    /// Struct-of-arrays register bank shared by window lanes.
-    lane_bank: LaneBank,
     /// Translated-engine diagnostics (windows, batched cycles, uops).
     tstats: TranslationStats,
     /// Installed fault plan and its runtime state, if any. `None` keeps
@@ -824,7 +822,6 @@ impl Chip {
             skipped: 0,
             translate: true,
             trans: (0..n).map(|_| TransCache::new()).collect(),
-            lane_bank: LaneBank::new(n),
             tstats: TranslationStats::default(),
             faults: None,
             paranoid: false,
@@ -908,9 +905,9 @@ impl Chip {
     ///
     /// Program text and custom-instruction bindings are load-time
     /// artifacts and are *not* captured; [`Chip::restore`] expects a chip
-    /// with the same programs loaded. Takes `&mut self` only for the
-    /// DRAM dirty-page bookkeeping — the simulated state is unchanged.
-    pub fn checkpoint(&mut self) -> ChipSnapshot {
+    /// with the same programs loaded.
+    #[must_use]
+    pub fn checkpoint(&self) -> ChipSnapshot {
         ChipSnapshot {
             topo: self.cfg.topo,
             cycle: self.cycle,
@@ -919,7 +916,7 @@ impl Chip {
                 .iter()
                 .map(|c| c.as_ref().map(Core::snapshot))
                 .collect(),
-            mems: self.mems.iter_mut().map(TileMemory::snapshot).collect(),
+            mems: self.mems.iter().map(TileMemory::snapshot).collect(),
             mesh: self.mesh.snapshot(),
             patchnet: self.patchnet.snapshot(),
             busy_until: self.busy_until.clone(),
@@ -932,30 +929,6 @@ impl Chip {
         }
     }
 
-    /// Updates an existing checkpoint of *this* chip in place, copying
-    /// only DRAM pages dirtied since the snapshot was taken (everything
-    /// else is small and rewritten wholesale).
-    fn refresh_checkpoint(&mut self, snap: &mut ChipSnapshot) {
-        snap.cycle = self.cycle;
-        snap.cores = self
-            .cores
-            .iter()
-            .map(|c| c.as_ref().map(Core::snapshot))
-            .collect();
-        for (m, s) in self.mems.iter_mut().zip(snap.mems.iter_mut()) {
-            m.refresh_snapshot(s);
-        }
-        snap.mesh = self.mesh.snapshot();
-        snap.patchnet = self.patchnet.snapshot();
-        snap.busy_until.clone_from(&self.busy_until);
-        snap.waiting_on.clone_from(&self.waiting_on);
-        snap.activations.clone_from(&self.activations);
-        snap.xbar_errors = self.xbar_errors;
-        snap.next_wake = self.next_wake;
-        snap.skipped = self.skipped;
-        snap.faults = self.faults.as_ref().map(FaultRuntime::snapshot);
-    }
-
     /// Reinstalls a previously captured state. The snapshot must come
     /// from a chip with the same topology and the same pattern of loaded
     /// programs (text and bindings are not part of the snapshot); resumed
@@ -965,7 +938,9 @@ impl Chip {
     /// # Errors
     ///
     /// [`SnapshotError::TopologyMismatch`] / [`SnapshotError::Mismatch`]
-    /// when the snapshot does not fit this chip, a propagated
+    /// when the snapshot does not fit this chip (per-tile vector lengths,
+    /// fault-runtime shape, loaded-core pattern, SPM image length, cache
+    /// line counts), a propagated
     /// [`SnapshotError::Mesh`] when the recorded network state is
     /// malformed (bad port/tile indices, over-capacity buffers), or a
     /// propagated [`SnapshotError::PatchNet`] if the recorded switch
@@ -1005,6 +980,10 @@ impl Chip {
                     what: "fault event index beyond plan",
                 });
             }
+        }
+        for (m, s) in self.mems.iter().zip(&snap.mems) {
+            m.check_snapshot(s)
+                .map_err(|what| SnapshotError::Mismatch { what })?;
         }
         for (have, want) in self.cores.iter().zip(&snap.cores) {
             match (have, want) {
@@ -1119,15 +1098,11 @@ impl Chip {
             .as_ref()
             .is_some_and(|r| self.cycle >= r.next_checkpoint);
         if due {
-            let mut last = self.rollback.as_mut().and_then(|r| r.last.take());
-            match last.as_deref_mut() {
-                Some(snap) => self.refresh_checkpoint(snap),
-                None => last = Some(Box::new(self.checkpoint())),
-            }
+            let snap = Box::new(self.checkpoint());
             let cycle = self.cycle;
             self.tracer.emit(|| TraceEvent::Checkpoint { cycle });
             if let Some(rb) = self.rollback.as_mut() {
-                rb.last = last;
+                rb.last = Some(snap);
                 rb.next_checkpoint = self.cycle + rb.interval;
             }
             self.sync_rollback_armed();
@@ -1906,8 +1881,6 @@ impl Chip {
             };
             let run = core.run_translated(
                 &mut self.trans[i],
-                &mut self.lane_bank,
-                i,
                 &mut host,
                 WindowParams { start, horizon },
             );

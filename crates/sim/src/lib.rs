@@ -33,7 +33,6 @@
 
 pub mod chip;
 pub mod faults;
-pub mod rng;
 pub mod snapshot;
 pub mod summary;
 
@@ -42,11 +41,10 @@ pub use chip::{
     TranslationStats,
 };
 pub use faults::FaultStats;
-pub use rng::SimRng;
 pub use snapshot::{ChipSnapshot, FaultRuntimeSnapshot, SnapshotError};
 pub use summary::{RunSummary, TileSummary};
 
-pub use stitch_fault::{FaultEvent, FaultKind, FaultPlan, FaultSpace};
+pub use stitch_fault::{FaultEvent, FaultKind, FaultPlan, FaultSpace, SimRng};
 pub use stitch_noc::{TileId, Topology};
 pub use stitch_trace::{
     to_chrome_trace, EventKind, EventMask, JsonValue, TileWindow, TraceCapture, TraceConfig,

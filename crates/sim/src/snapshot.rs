@@ -868,8 +868,7 @@ mod tests {
 
     fn tiny_snapshot() -> ChipSnapshot {
         use crate::{Chip, ChipConfig};
-        let mut chip = Chip::new(ChipConfig::stitch_16());
-        chip.checkpoint()
+        Chip::new(ChipConfig::stitch_16()).checkpoint()
     }
 
     #[test]

@@ -221,7 +221,7 @@ fn restore_into_mismatched_chip_is_typed_and_harmless() {
     ));
     // ... and the reverse: the target has a loaded tile the snapshot
     // does not cover.
-    let mut fresh = Chip::new(stitch_sim::ChipConfig::stitch_16());
+    let fresh = Chip::new(stitch_sim::ChipConfig::stitch_16());
     let fresh_snap = fresh.checkpoint();
     let mut loaded = pipeline_chip(seed);
     assert!(matches!(
@@ -242,6 +242,65 @@ fn restore_into_mismatched_chip_is_typed_and_harmless() {
     assert_eq!(target.cycle(), 0);
     target.restore(&good).expect("matching restore succeeds");
     target.run(BUDGET).expect("restored chip completes");
+}
+
+/// Restores a decodable snapshot whose memory geometry `bend` made
+/// misfit the chip: the restore must fail with `Mismatch { what }`
+/// before touching any state, patch network included, and the chip must
+/// still take the unbent snapshot and complete.
+fn assert_geometry_rejected(bend: impl Fn(&mut ChipSnapshot), what: &str) {
+    let seed = seed_base() ^ 0x6E0;
+    let mut donor = fused_chip(seed);
+    assert!(matches!(donor.run(100), Err(SimError::Timeout { .. })));
+    let good = donor.checkpoint();
+    let mut bad = good.clone();
+    bend(&mut bad);
+    // The misfit survives the codec: geometry is the restore's to check.
+    let bad = ChipSnapshot::decode(&bad.encode()).expect("bent snapshot decodes");
+    let mut target = fused_chip(seed);
+    let before = target.checkpoint().encode();
+    match target.restore(&bad) {
+        Err(SnapshotError::Mismatch { what: got }) => assert_eq!(got, what),
+        other => panic!("{what} mismatch not detected: {other:?}"),
+    }
+    assert_eq!(target.checkpoint().encode(), before, "{what}: chip changed");
+    target.restore(&good).expect("matching restore succeeds");
+    target.run(BUDGET).expect("restored chip completes");
+}
+
+#[test]
+fn restore_rejects_short_spm_image_untouched() {
+    assert_geometry_rejected(
+        |s| s.mems[3].spm.data = vec![0u8; 16].into_boxed_slice(),
+        "SPM image length",
+    );
+}
+
+#[test]
+fn restore_rejects_missing_cache_lines_untouched() {
+    assert_geometry_rejected(|s| s.mems[0].icache.lines.truncate(1), "icache line count");
+}
+
+/// A periodic rollback checkpoint taken after a restore is a full image
+/// of the restored chip, not the pre-restore checkpoint patched with the
+/// pages written since.
+#[test]
+fn rollback_checkpoint_after_restore_is_a_full_image() {
+    for seed in seed_base()..seed_base() + 20 {
+        let mut donor = pipeline_chip(seed);
+        assert!(matches!(donor.run(200), Err(SimError::Timeout { .. })));
+        let mid = donor.checkpoint();
+
+        let mut chip = pipeline_chip(seed);
+        chip.enable_rollback(1, 4);
+        chip.restore(&mid).expect("matching restore succeeds");
+        let _ = chip.run(1);
+        assert_eq!(
+            chip.checkpoint_bytes(),
+            Some(chip.checkpoint().encode().len() as u64),
+            "seed {seed}: rollback checkpoint misses pages of the restored image"
+        );
+    }
 }
 
 /// Snapshot *files* that were truncated or corrupted in flight decode to

@@ -285,14 +285,6 @@ impl Workbench {
         self.trace = cfg;
     }
 
-    /// All configurations explored for kernels: the three singles first
-    /// (so ties prefer cheaper allocations), then the nine ordered pairs,
-    /// then LOCUS.
-    #[must_use]
-    pub fn all_configs() -> Vec<PatchConfig> {
-        PatchConfig::all()
-    }
-
     fn cache_key(kernel: &dyn Kernel) -> String {
         let s = kernel.spec();
         format!("{}/{}x{}", s.name, s.input_words, s.output_words)
@@ -319,7 +311,7 @@ impl Workbench {
             // measurement, and verification in one step.
             || {
                 let program = program().as_ref().ok()?;
-                kernel_input_key(spec.name, program, &Self::all_configs(), output_check)
+                kernel_input_key(spec.name, program, &PatchConfig::all(), output_check)
             },
             |payload| {
                 let (kv, report) = decode_kernel_artifact(payload)?;
@@ -330,7 +322,7 @@ impl Workbench {
             },
             || {
                 let program = program().as_ref().map_err(Clone::clone)?;
-                let kv = compile_kernel(spec.name, program, &Self::all_configs(), output_check)?;
+                let kv = compile_kernel(spec.name, program, &PatchConfig::all(), output_check)?;
                 Ok(Arc::new(kv))
             },
             |kv| {
