@@ -3,12 +3,16 @@
 //! [`Core::step`] interprets one [`stitch_isa::Instr`] per call — exact,
 //! but it re-matches the instruction tree and pays platform-dispatch
 //! overhead on every retired instruction. This module executes whole
-//! *compute windows* instead: straight-line stretches where the chip has
-//! proven no chip-level event (message delivery, fault injection,
-//! checkpoint, deadline) can land. Within a window the core runs from a
-//! per-core [`TransCache`] of lowered [`MicroBlock`]s, on a stack-local
-//! copy of the core's register file that is committed back when the
-//! window ends.
+//! *compute windows* instead: stretches where the chip has proven no
+//! chip-level event (message delivery, fault injection, checkpoint,
+//! deadline) can land. Within a window the core runs from a per-core
+//! [`TransCache`] — its program lowered once into one [`UOp`] per
+//! instruction — on a stack-local copy of the core's register file that
+//! is committed back when the window ends.
+//!
+//! Every instruction, jumps included, takes one path through the
+//! window's dispatch loop: horizon check, side-exit check, I-fetch
+//! charge, execute, retire, and cycle spacing.
 //!
 //! ## Bit-exactness contract
 //!
@@ -41,10 +45,10 @@ use crate::core::{Core, CustomOutcome, TEXT_BASE};
 use crate::stats::CoreStats;
 use crate::{BRANCH_PENALTY, MUL_LATENCY};
 use stitch_isa::custom::CiId;
-use stitch_isa::instr::{Instr, Width};
-use stitch_isa::op::OpClass;
+use stitch_isa::instr::Width;
+use stitch_isa::op::{AluOp, OpClass};
 use stitch_isa::reg::Reg;
-use stitch_isa::uop::{translate_block, BlockExit, MicroBlock, UOp};
+use stitch_isa::uop::{lower_program, UOp, UOpSlot};
 
 /// Services a compute window needs from the chip. A deliberately smaller
 /// surface than [`crate::Platform`]: no NIC, and custom execution is
@@ -81,24 +85,22 @@ pub trait LaneHost {
     fn exec_custom(&mut self, custom: Self::Custom, inputs: [u32; 4]) -> CustomOutcome;
 }
 
-/// Per-core cache of lowered basic blocks, keyed by entry pc.
-///
-/// The index is a direct-mapped table over instruction indices (program
-/// texts are small), so block dispatch on the hot path is one bounds
-/// check and one array read. The cache belongs to the *loaded program*:
-/// the chip clears it whenever a tile's program is swapped.
+/// Per-core translation of the loaded program: one lowered micro-op per
+/// instruction, indexed by pc, so dispatch on the hot path is one
+/// bounds-checked slice read. The table belongs to the *loaded program*:
+/// the chip clears it whenever a tile's program is swapped, and the next
+/// window lowers the new text.
 #[derive(Debug, Clone, Default)]
 pub struct TransCache {
-    /// `index[pc]` = slot in `blocks`, or `NO_BLOCK`.
-    index: Vec<u32>,
-    blocks: Vec<MicroBlock>,
-    /// Blocks lowered (cache misses) over the cache's lifetime.
+    /// `uops[pc]` models the instruction at `pc` (empty until first use).
+    uops: Vec<UOpSlot>,
+    /// `entered[pc]`: a window started, or a jump landed, at `pc`.
+    entered: Vec<bool>,
+    /// Distinct entry pcs over the cache's lifetime.
     pub translated: u64,
-    /// Block dispatches served from the cache.
+    /// Repeated entries at an already-entered pc.
     pub hits: u64,
 }
-
-const NO_BLOCK: u32 = u32::MAX;
 
 impl TransCache {
     /// Creates an empty cache.
@@ -107,41 +109,22 @@ impl TransCache {
         Self::default()
     }
 
-    /// Drops all translations (program swap). Counters survive — they
+    /// Drops the translation (program swap). Counters survive — they
     /// describe the cache's lifetime, not one program.
     pub fn invalidate(&mut self) {
-        self.index.clear();
-        self.blocks.clear();
+        self.uops.clear();
+        self.entered.clear();
     }
 
-    /// Returns the slot of the block entered at `entry`, lowering it on
-    /// first use. `entry` must be inside the text.
-    fn block_slot(&mut self, instrs: &[Instr], word_offsets: &[u32], entry: u32) -> usize {
-        if self.index.len() < instrs.len() {
-            self.index.resize(instrs.len(), NO_BLOCK);
-        }
-        let slot = self.index[entry as usize];
-        if slot != NO_BLOCK {
-            self.hits += 1;
-            return slot as usize;
-        }
-        let block = translate_block(instrs, word_offsets, entry);
-        let slot = self.blocks.len();
-        self.blocks.push(block);
-        self.index[entry as usize] = slot as u32;
-        self.translated += 1;
-        slot
-    }
-
-    /// Entry pcs with a lowered block — the live block-coverage map of
-    /// the loaded program. The fuzzer uses this as its coverage signal:
-    /// a mutated program that lights up a new entry pc found a basic
-    /// block the corpus had not reached.
+    /// Entry pcs of the loaded program — where windows started and jumps
+    /// landed. The fuzzer uses this as its coverage signal: a mutated
+    /// program that lights up a new entry pc reached a control-flow path
+    /// the corpus had not.
     pub fn covered_entries(&self) -> impl Iterator<Item = u32> + '_ {
-        self.index
+        self.entered
             .iter()
             .enumerate()
-            .filter(|(_, &slot)| slot != NO_BLOCK)
+            .filter(|(_, &hit)| hit)
             .map(|(pc, _)| pc as u32)
     }
 }
@@ -205,6 +188,18 @@ fn fetch_charge<H: LaneHost>(host: &mut H, stats: &mut CoreStats, base: u32, wor
     cycles.saturating_sub(words)
 }
 
+/// Execute latency of an ALU op, counted in its class's statistic.
+#[inline(always)]
+fn alu_cycles(op: AluOp, stats: &mut CoreStats) -> u32 {
+    if op.class() == OpClass::M {
+        stats.mul_ops += 1;
+        MUL_LATENCY
+    } else {
+        stats.alu_ops += 1;
+        1
+    }
+}
+
 impl Core {
     /// Runs this core's lane through one compute window.
     ///
@@ -222,9 +217,22 @@ impl Core {
         host: &mut H,
         p: WindowParams,
     ) -> LaneRun {
-        let text = &self.text;
+        let instrs = &self.text.instrs;
         let arch = &mut self.arch;
-        let len = text.instrs.len() as u32;
+        if cache.uops.is_empty() {
+            cache.uops = lower_program(instrs);
+            cache.entered = vec![false; instrs.len()];
+        }
+        // Borrow the table as a plain slice once per window rather than
+        // indexing through `cache` on every instruction.
+        let TransCache {
+            uops,
+            entered,
+            translated,
+            hits,
+        } = cache;
+        let uops = uops.as_slice();
+        let len = uops.len() as u32;
         // A stack-local register copy: 128 contiguous bytes with
         // compile-time-bounded indices, committed back below.
         let mut regs = arch.regs;
@@ -233,218 +241,165 @@ impl Core {
         let mut t = p.start;
         let mut executed = 0u64;
         let mut side_exit = false;
-        'dispatch: loop {
+        // True at the window's first instruction and after every jump:
+        // the pc is an entry point, counted in the cache's statistics.
+        let mut entry = true;
+        loop {
             if t > p.horizon {
                 break;
             }
-            if pc >= len {
+            let Some(s) = uops.get(pc as usize) else {
                 // The interpreter raises PcOutOfRange at cycle `t`.
                 side_exit = true;
                 break;
-            }
-            let slot = cache.block_slot(&text.instrs, &text.word_offsets, pc);
-            let block = &cache.blocks[slot];
-            for (idx, s) in block.uops.iter().enumerate() {
-                if t > p.horizon {
-                    pc = block.pc_at(idx);
-                    break 'dispatch;
+            };
+            if entry {
+                entry = false;
+                if std::mem::replace(&mut entered[pc as usize], true) {
+                    *hits += 1;
+                } else {
+                    *translated += 1;
                 }
-                let base = TEXT_BASE + s.off * 4;
-                let cycles = match s.op {
-                    UOp::Nop => fetch_charge(host, &mut stats, base, s.words) + 1,
-                    UOp::AluRR { op, rd, rs1, rs2 } => {
-                        let fetch = fetch_charge(host, &mut stats, base, s.words);
-                        let value = op.eval(reg_get(&regs, rs1), reg_get(&regs, rs2));
-                        reg_set(&mut regs, rd, value);
-                        fetch
-                            + if op.class() == OpClass::M {
-                                stats.mul_ops += 1;
-                                MUL_LATENCY
-                            } else {
-                                stats.alu_ops += 1;
-                                1
-                            }
-                    }
-                    UOp::AluRI { op, rd, rs1, imm } => {
-                        let fetch = fetch_charge(host, &mut stats, base, s.words);
-                        let value = op.eval(reg_get(&regs, rs1), imm as u32);
-                        reg_set(&mut regs, rd, value);
-                        fetch
-                            + if op.class() == OpClass::M {
-                                stats.mul_ops += 1;
-                                MUL_LATENCY
-                            } else {
-                                stats.alu_ops += 1;
-                                1
-                            }
-                    }
-                    UOp::Lui { rd, val } => {
-                        let fetch = fetch_charge(host, &mut stats, base, s.words);
-                        reg_set(&mut regs, rd, val);
-                        stats.alu_ops += 1;
-                        fetch + 1
-                    }
-                    UOp::Load {
-                        w,
-                        rd,
-                        base: rb,
-                        offset,
-                    } => {
-                        let fetch = fetch_charge(host, &mut stats, base, s.words);
-                        let addr = reg_get(&regs, rb).wrapping_add_signed(offset);
-                        let (value, lat) = host.load(addr, w);
-                        reg_set(&mut regs, rd, value);
-                        stats.mem_ops += 1;
-                        stats.mem_stall_cycles += u64::from(lat.saturating_sub(1));
-                        fetch + lat
-                    }
-                    UOp::Store {
-                        w,
-                        rs,
-                        base: rb,
-                        offset,
-                    } => {
-                        // Crossbar-config stores reconfigure the chip —
-                        // checked before the fetch so the interpreter
-                        // replays the instruction from scratch.
-                        let addr = reg_get(&regs, rb).wrapping_add_signed(offset);
-                        if host.store_side_exits(addr) {
-                            pc = block.pc_at(idx);
-                            side_exit = true;
-                            break 'dispatch;
-                        }
-                        let fetch = fetch_charge(host, &mut stats, base, s.words);
-                        let lat = host.store(addr, reg_get(&regs, rs), w);
-                        stats.mem_ops += 1;
-                        stats.mem_stall_cycles += u64::from(lat.saturating_sub(1));
-                        fetch + lat
-                    }
-                    UOp::Custom {
-                        id,
-                        ins,
-                        out0,
-                        out1,
-                    } => {
-                        // Decided before the fetch, at this instruction's
-                        // own start cycle: a transient fault can recover
-                        // inside a window, so its rung may change there.
-                        let Some(custom) = host.prepare_custom(id, t) else {
-                            pc = block.pc_at(idx);
-                            side_exit = true;
-                            break 'dispatch;
-                        };
-                        let inputs = [
-                            reg_get(&regs, ins[0]),
-                            reg_get(&regs, ins[1]),
-                            reg_get(&regs, ins[2]),
-                            reg_get(&regs, ins[3]),
-                        ];
-                        let fetch = fetch_charge(host, &mut stats, base, s.words);
-                        let o = host.exec_custom(custom, inputs);
-                        if let Some(r) = out0 {
-                            reg_set(&mut regs, r, o.out.out0);
-                        }
-                        if let Some(r) = out1 {
-                            reg_set(&mut regs, r, o.out.out1);
-                        }
-                        stats.custom_ops += 1;
-                        if o.fused {
-                            stats.fused_ops += 1;
-                        }
-                        if o.demoted {
-                            stats.demoted_ops += 1;
-                        }
-                        fetch + o.cycles.max(1)
-                    }
-                };
-                stats.instructions += 1;
-                stats.cycles += u64::from(cycles);
-                executed += 1;
-                // The tick loop spaces instructions by max(cycles - 1, 1)
-                // (busy_until lands on cycle + cycles - 1, and the next
-                // tick is at least one cycle later).
-                t += u64::from((cycles.max(1) - 1).max(1));
             }
-            match block.exit {
-                BlockExit::SideExit { at } => {
-                    pc = at;
-                    side_exit = true;
-                    break;
+            let base = TEXT_BASE + s.off * 4;
+            let mut next = pc + 1;
+            // Each arm runs its side-exit check before the I-fetch, so
+            // the interpreter replays a bounced instruction from scratch.
+            let cycles = match s.op {
+                UOp::Nop => fetch_charge(host, &mut stats, base, s.words) + 1,
+                UOp::AluRR { op, rd, rs1, rs2 } => {
+                    let fetch = fetch_charge(host, &mut stats, base, s.words);
+                    let value = op.eval(reg_get(&regs, rs1), reg_get(&regs, rs2));
+                    reg_set(&mut regs, rd, value);
+                    fetch + alu_cycles(op, &mut stats)
                 }
-                BlockExit::Branch {
+                UOp::AluRI { op, rd, rs1, imm } => {
+                    let fetch = fetch_charge(host, &mut stats, base, s.words);
+                    let value = op.eval(reg_get(&regs, rs1), imm as u32);
+                    reg_set(&mut regs, rd, value);
+                    fetch + alu_cycles(op, &mut stats)
+                }
+                UOp::Lui { rd, val } => {
+                    let fetch = fetch_charge(host, &mut stats, base, s.words);
+                    reg_set(&mut regs, rd, val);
+                    stats.alu_ops += 1;
+                    fetch + 1
+                }
+                UOp::Load {
+                    w,
+                    rd,
+                    base: rb,
+                    offset,
+                } => {
+                    let fetch = fetch_charge(host, &mut stats, base, s.words);
+                    let addr = reg_get(&regs, rb).wrapping_add_signed(offset);
+                    let (value, lat) = host.load(addr, w);
+                    reg_set(&mut regs, rd, value);
+                    stats.mem_ops += 1;
+                    stats.mem_stall_cycles += u64::from(lat.saturating_sub(1));
+                    fetch + lat
+                }
+                UOp::Store {
+                    w,
+                    rs,
+                    base: rb,
+                    offset,
+                } => {
+                    // Crossbar-config stores reconfigure the chip.
+                    let addr = reg_get(&regs, rb).wrapping_add_signed(offset);
+                    if host.store_side_exits(addr) {
+                        side_exit = true;
+                        break;
+                    }
+                    let fetch = fetch_charge(host, &mut stats, base, s.words);
+                    let lat = host.store(addr, reg_get(&regs, rs), w);
+                    stats.mem_ops += 1;
+                    stats.mem_stall_cycles += u64::from(lat.saturating_sub(1));
+                    fetch + lat
+                }
+                UOp::Custom {
+                    id,
+                    ins,
+                    out0,
+                    out1,
+                } => {
+                    // Decided at this instruction's own start cycle: a
+                    // transient fault can recover inside a window, so its
+                    // rung may change there.
+                    let Some(custom) = host.prepare_custom(id, t) else {
+                        side_exit = true;
+                        break;
+                    };
+                    let inputs = ins.map(|r| reg_get(&regs, r));
+                    let fetch = fetch_charge(host, &mut stats, base, s.words);
+                    let o = host.exec_custom(custom, inputs);
+                    if let Some(r) = out0 {
+                        reg_set(&mut regs, r, o.out.out0);
+                    }
+                    if let Some(r) = out1 {
+                        reg_set(&mut regs, r, o.out.out1);
+                    }
+                    stats.custom_ops += 1;
+                    stats.fused_ops += u64::from(o.fused);
+                    stats.demoted_ops += u64::from(o.demoted);
+                    fetch + o.cycles.max(1)
+                }
+                UOp::Branch {
                     cond,
                     rs1,
                     rs2,
                     target,
-                    at,
-                    off,
                 } => {
-                    if t > p.horizon {
-                        pc = at;
-                        break;
-                    }
-                    let fetch = fetch_charge(host, &mut stats, TEXT_BASE + off * 4, 1);
-                    let mut cycles = fetch + 1;
+                    let fetch = fetch_charge(host, &mut stats, base, s.words);
+                    entry = true;
                     stats.branches += 1;
                     if cond.eval(reg_get(&regs, rs1), reg_get(&regs, rs2)) {
                         stats.branches_taken += 1;
-                        cycles += BRANCH_PENALTY;
-                        pc = target;
+                        next = target;
+                        fetch + 1 + BRANCH_PENALTY
                     } else {
-                        pc = at + 1;
+                        fetch + 1
                     }
-                    stats.instructions += 1;
-                    stats.cycles += u64::from(cycles);
-                    executed += 1;
-                    t += u64::from((cycles.max(1) - 1).max(1));
                 }
-                BlockExit::Jal {
-                    rd,
-                    target,
-                    at,
-                    off,
-                } => {
-                    if t > p.horizon {
-                        pc = at;
-                        break;
-                    }
-                    let fetch = fetch_charge(host, &mut stats, TEXT_BASE + off * 4, 1);
-                    reg_set(&mut regs, rd, at + 1);
-                    let cycles = fetch + 1 + BRANCH_PENALTY;
+                UOp::Jal { rd, target } => {
+                    let fetch = fetch_charge(host, &mut stats, base, s.words);
+                    reg_set(&mut regs, rd, next);
+                    entry = true;
+                    next = target;
                     stats.branches += 1;
                     stats.branches_taken += 1;
-                    stats.instructions += 1;
-                    stats.cycles += u64::from(cycles);
-                    executed += 1;
-                    pc = target;
-                    t += u64::from((cycles.max(1) - 1).max(1));
+                    fetch + 1 + BRANCH_PENALTY
                 }
-                BlockExit::Jalr { rd, rs, at, off } => {
-                    if t > p.horizon {
-                        pc = at;
-                        break;
-                    }
+                UOp::Jalr { rd, rs } => {
                     let target = reg_get(&regs, rs);
                     if target > len {
                         // BadTarget retires rd and the stats before
                         // faulting; only the interpreter replays that
                         // partial effect exactly.
-                        pc = at;
                         side_exit = true;
                         break;
                     }
-                    let fetch = fetch_charge(host, &mut stats, TEXT_BASE + off * 4, 1);
-                    reg_set(&mut regs, rd, at + 1);
-                    let cycles = fetch + 1 + BRANCH_PENALTY;
+                    let fetch = fetch_charge(host, &mut stats, base, s.words);
+                    reg_set(&mut regs, rd, next);
+                    entry = true;
+                    next = target;
                     stats.branches += 1;
                     stats.branches_taken += 1;
-                    stats.instructions += 1;
-                    stats.cycles += u64::from(cycles);
-                    executed += 1;
-                    pc = target;
-                    t += u64::from((cycles.max(1) - 1).max(1));
+                    fetch + 1 + BRANCH_PENALTY
                 }
-            }
+                UOp::Exit => {
+                    side_exit = true;
+                    break;
+                }
+            };
+            stats.instructions += 1;
+            stats.cycles += u64::from(cycles);
+            executed += 1;
+            pc = next;
+            // The tick loop spaces instructions by max(cycles - 1, 1)
+            // (busy_until lands on cycle + cycles - 1, and the next
+            // tick is at least one cycle later).
+            t += u64::from((cycles.max(1) - 1).max(1));
         }
         arch.regs = regs;
         arch.pc = pc;
@@ -712,16 +667,22 @@ mod tests {
     #[test]
     fn cache_invalidation_drops_blocks_but_keeps_counters() {
         let program = loop_program(3);
-        let core = Core::new(&program);
         let mut cache = TransCache::new();
-        let slot = cache.block_slot(&core.text.instrs, &core.text.word_offsets, 0);
-        assert_eq!(slot, 0);
-        assert_eq!(cache.translated, 1);
-        cache.block_slot(&core.text.instrs, &core.text.word_offsets, 0);
-        assert_eq!(cache.hits, 1);
+        let whole = WindowParams {
+            start: 1,
+            horizon: u64::MAX,
+        };
+        // One window enters at pc 0, jumps back to the loop head (pc 3)
+        // twice, and falls through to the halt (pc 9) once.
+        Core::new(&program).run_translated(&mut cache, &mut FlatHost::new(), whole);
+        assert_eq!(cache.covered_entries().collect::<Vec<_>>(), [0, 3, 9]);
+        assert_eq!((cache.translated, cache.hits), (3, 1));
+        Core::new(&program).run_translated(&mut cache, &mut FlatHost::new(), whole);
+        assert_eq!((cache.translated, cache.hits), (3, 5));
         cache.invalidate();
-        assert!(cache.blocks.is_empty());
-        cache.block_slot(&core.text.instrs, &core.text.word_offsets, 0);
-        assert_eq!(cache.translated, 2, "re-lowered after invalidation");
+        assert!(cache.uops.is_empty());
+        assert_eq!(cache.covered_entries().count(), 0);
+        Core::new(&program).run_translated(&mut cache, &mut FlatHost::new(), whole);
+        assert_eq!(cache.translated, 6, "entries re-counted after invalidation");
     }
 }

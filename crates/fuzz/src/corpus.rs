@@ -4,13 +4,16 @@
 //! name's leading `<class>` (up to the last `-`) is the classification
 //! the input must still produce when replayed, which turns the corpus
 //! into a set of pinned regression cases. The driver binary
-//! (`stitch-fuzz <target> --write-corpus`) regenerates each directory:
-//! it keeps one minimal representative per classification (plus, for
-//! the differential target, per new-coverage input) and greedily
-//! shrinks word images while the classification is preserved.
+//! (`stitch-fuzz <target> --write-corpus`) regenerates each directory's
+//! harvested inputs, `<class>-<n>.bin` with a numeric `<n>`: it keeps
+//! one minimal representative per classification (plus, for the
+//! differential target, per new-coverage input) and greedily shrinks
+//! word images while the classification is preserved. Hand-made blobs
+//! carry a non-numeric tag without a `-` instead (`<class>-<tag>.bin`,
+//! e.g. `snap-restore-err-spm_length.bin`) and survive regeneration.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use crate::targets::Target;
 
@@ -55,16 +58,51 @@ pub fn load(target: Target) -> Vec<(String, Vec<u8>)> {
         .collect()
 }
 
-/// Writes a freshly minimized corpus for one target, replacing the
-/// directory's previous contents.
-pub fn store(target: Target, inputs: &[(String, Vec<u8>)]) -> std::io::Result<()> {
-    let dir = corpus_dir(target);
-    if dir.exists() {
-        fs::remove_dir_all(&dir)?;
+/// Writes a freshly minimized corpus into `dir`, replacing the
+/// previously harvested inputs there; hand-made blobs are kept.
+pub fn store(dir: &Path, inputs: &[(String, Vec<u8>)]) -> std::io::Result<()> {
+    fs::create_dir_all(dir)?;
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        if is_harvested(&path) {
+            fs::remove_file(&path)?;
+        }
     }
-    fs::create_dir_all(&dir)?;
     for (n, (class, bytes)) in inputs.iter().enumerate() {
         fs::write(dir.join(format!("{class}-{n}.bin")), bytes)?;
     }
     Ok(())
+}
+
+/// True for a harvested input's file name, `<class>-<n>.bin`.
+fn is_harvested(path: &Path) -> bool {
+    path.extension().is_some_and(|e| e == "bin")
+        && path
+            .file_stem()
+            .and_then(|s| s.to_str())
+            .and_then(|s| s.rsplit_once('-'))
+            .is_some_and(|(_, n)| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn store_keeps_hand_made_blobs() {
+        let dir = std::env::temp_dir().join(format!("stitch-fuzz-corpus-{}", std::process::id()));
+        fs::create_dir_all(&dir).expect("temp dir");
+        fs::write(dir.join("snap-restore-err-spm_length.bin"), b"hand").expect("write");
+        fs::write(dir.join("snap-ok-7.bin"), b"stale").expect("write");
+        store(&dir, &[("snap-err".to_owned(), b"new".to_vec())]).expect("store");
+        let mut names: Vec<String> = fs::read_dir(&dir)
+            .expect("read dir")
+            .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
+            .collect();
+        names.sort();
+        let hand = fs::read(dir.join("snap-restore-err-spm_length.bin"));
+        fs::remove_dir_all(&dir).expect("clean up");
+        assert_eq!(names, ["snap-err-0.bin", "snap-restore-err-spm_length.bin"]);
+        assert_eq!(hand.expect("hand-made blob survives"), b"hand");
+    }
 }

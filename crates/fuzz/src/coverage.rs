@@ -1,17 +1,17 @@
-//! Block-coverage feedback from the micro-op translator.
+//! Entry-point coverage feedback from the micro-op translator.
 //!
-//! The translated engine lowers each reachable basic block exactly once
-//! into its per-tile block cache; the set of `(tile, entry pc)` pairs
-//! with lowered blocks is therefore a cheap, deterministic proxy for
-//! "control-flow paths this input reached". The fuzzer keeps inputs
-//! that light up entries no earlier input reached and mutates them
-//! preferentially — classic coverage-guided feedback without any
-//! instrumentation beyond what the simulator already maintains.
+//! Each tile's translation cache records the pcs where translated
+//! windows started and jumps landed; the set of `(tile, entry pc)`
+//! pairs is therefore a cheap, deterministic proxy for "control-flow
+//! paths this input reached". The fuzzer keeps inputs that light up
+//! entries no earlier input reached and mutates them preferentially —
+//! classic coverage-guided feedback without any instrumentation beyond
+//! what the simulator already maintains.
 
 use std::collections::BTreeSet;
 use stitch_sim::Chip;
 
-/// Accumulated `(tile index, block entry pc)` coverage across a run.
+/// Accumulated `(tile index, entry pc)` coverage across a run.
 #[derive(Debug, Clone, Default)]
 pub struct CoverageMap {
     seen: BTreeSet<(usize, u32)>,

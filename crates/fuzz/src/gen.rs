@@ -7,7 +7,8 @@
 
 use stitch_isa::op::AluOp;
 use stitch_isa::{memmap, Cond, Program, ProgramBuilder, Reg};
-use stitch_sim::{SimRng, TileId};
+use stitch_noc::FlitSnapshot as Flit;
+use stitch_sim::{ChipSnapshot, SimRng, TileId};
 
 /// Registers the program generator shuffles data through. `R10` is the
 /// loop counter and `R12`/`R13` the DRAM/SPM base pointers, so they
@@ -232,6 +233,47 @@ pub fn mutate_bytes(bytes: &mut Vec<u8>, rng: &mut SimRng) {
         }
         if bytes.is_empty() {
             bytes.push(rng.next_u32() as u8);
+        }
+    }
+}
+
+/// Structure-aware snapshot mutation: changes one geometry field of a
+/// decoded checkpoint — an SPM image length, a cache's line count, a
+/// per-tile vector length, or a router buffer past its capacity — so the
+/// re-encoded blob still decodes but no longer fits the chip. Byte-level
+/// mutants almost never survive decoding to reach those restore checks.
+pub fn perturb_geometry(snap: &mut ChipSnapshot, rng: &mut SimRng) {
+    let tile = rng.index(snap.mems.len());
+    let mem = &mut snap.mems[tile];
+    match rng.index(4) {
+        0 => mem.spm.data = vec![0; rng.index(mem.spm.data.len())].into(),
+        1 => {
+            let cache = if rng.chance(1, 2) {
+                &mut mem.icache
+            } else {
+                &mut mem.dcache
+            };
+            cache.lines.truncate(rng.index(cache.lines.len()));
+        }
+        2 => {
+            snap.busy_until.pop();
+        }
+        _ => {
+            let router = rng.index(snap.mesh.routers.len());
+            let inputs = &mut snap.mesh.routers[router].inputs;
+            let flit = Flit {
+                dst: TileId(0),
+                src: TileId(0),
+                is_head: true,
+                is_tail: true,
+                word: 0,
+                msg_id: 0,
+                msg_len: 1,
+                injected_at: 0,
+                ready_at: 0,
+            };
+            // Far past any router's buffer capacity.
+            inputs[rng.index(inputs.len())] = vec![flit; 64];
         }
     }
 }

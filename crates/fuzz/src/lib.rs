@@ -8,8 +8,8 @@
 //! panics, hangs, or allocates without bound.
 //!
 //! This crate packages that contract as five deterministic fuzz
-//! targets (see [`targets`]), a block-coverage feedback signal fed by
-//! the micro-op translator's block cache ([`coverage`]), seeded input
+//! targets (see [`targets`]), a coverage feedback signal fed by
+//! the micro-op translator's entry points ([`coverage`]), seeded input
 //! generators and mutators that need nothing outside the workspace
 //! ([`gen`] drives [`stitch_sim::SimRng`]), and a checked-in minimized
 //! corpus replayed by unit tests ([`corpus`]).

@@ -7,9 +7,9 @@
 //! Runs each requested target over seeds `B..B+N` (defaults honour the
 //! `STITCH_FUZZ_SEED_BASE` / `STITCH_FUZZ_SEEDS` env knobs), printing
 //! an outcome histogram and, for the coverage-fed differential target,
-//! the translator-block coverage curve. With `--write-corpus` the run
-//! also regenerates the checked-in minimized corpus under
-//! `crates/fuzz/corpus/<target>/`.
+//! the translator entry-point coverage curve. With `--write-corpus` the
+//! run also regenerates the harvested inputs of the checked-in
+//! minimized corpus under `crates/fuzz/corpus/<target>/`.
 //!
 //! Exit code 0 means "no findings": every input either simulated under
 //! its budget or came back as a typed error, and the differential
@@ -215,7 +215,7 @@ fn run_target(target: Target, opts: &Options) -> std::io::Result<()> {
         }
         harvest.sort();
         harvest.dedup();
-        corpus::store(target, &harvest)?;
+        corpus::store(&corpus::corpus_dir(target), &harvest)?;
         println!(
             "{:>12}: wrote {} corpus inputs to {}",
             target.name(),

@@ -115,7 +115,7 @@ fn classify(outcome: &Result<RunSummary, SimError>) -> &'static str {
 /// no page cap, because a `memory_pages` cap switches the translated
 /// engine off (windows execute stores inline, which would blur the
 /// crossing cycle) and the coverage signal lives in the translator's
-/// block cache. Allocation stays bounded regardless: a store resolves
+/// entry points. Allocation stays bounded regardless: a store resolves
 /// at most one new page per cycle, so the cycle cap is also a page cap.
 #[must_use]
 pub fn differential_budget() -> RunBudget {
@@ -214,7 +214,7 @@ pub fn replay_differential(bytes: &[u8]) -> &'static str {
 
 /// Differential target with coverage feedback: mutate a valid program,
 /// keep the mutant when it survives verification, and report whether
-/// the run lit translator blocks no earlier input reached. Returns
+/// the run lit translator entry points no earlier input reached. Returns
 /// `(classification, words-if-new-coverage)`.
 pub fn run_differential(seed: u64, coverage: &mut CoverageMap) -> (&'static str, Option<Vec<u32>>) {
     let mut rng = SimRng::new(seed);
@@ -313,10 +313,13 @@ pub fn replay_snapshot(bytes: &[u8]) -> &'static str {
 /// Snapshot codec target: checkpoint a mid-flight chip, then drive
 /// progressively nastier corruptions of the blob through decode *and*
 /// `Chip::restore` on a twin chip carrying the same workload — the
-/// real restore path. The pristine blob must round-trip and restore;
-/// every corruption must come back as a typed `SnapshotError` or a
-/// coherent restored state, never a panic. Returns the blob for
-/// corpus harvesting.
+/// real restore path. Corruptions are byte mutations and, one in four,
+/// a decoded snapshot with one geometry field perturbed
+/// ([`gen::perturb_geometry`]), which reaches restore's validation. The
+/// pristine blob must round-trip and restore; every corruption must
+/// come back as a typed `SnapshotError` or a coherent restored state,
+/// never a panic. Returns the last corruption's class and the pristine
+/// blob for corpus harvesting.
 pub fn run_snapshot(seed: u64) -> (&'static str, Vec<u8>) {
     let mut rng = SimRng::new(seed);
     let programs = gen::random_pipeline(&mut rng);
@@ -350,8 +353,15 @@ pub fn run_snapshot(seed: u64) -> (&'static str, Vec<u8>) {
 
     let mut last = "snap-ok";
     for _ in 0..8 {
-        let mut blob = pristine.clone();
-        gen::mutate_bytes(&mut blob, &mut rng);
+        let blob = if rng.chance(1, 4) {
+            let mut s = snap.clone();
+            gen::perturb_geometry(&mut s, &mut rng);
+            s.encode()
+        } else {
+            let mut blob = pristine.clone();
+            gen::mutate_bytes(&mut blob, &mut rng);
+            blob
+        };
         last = match ChipSnapshot::decode(&blob) {
             Ok(s) => match twin.restore(&s) {
                 Ok(()) => "snap-ok",

@@ -55,7 +55,7 @@ pub use op::{AluOp, OpClass};
 pub use program::{Program, ProgramBuilder};
 pub use rec::{fnv1a64, DecodeError, OrCorrupt, Rec, RecView};
 pub use reg::Reg;
-pub use uop::{translate_block, BlockExit, MicroBlock, UOp, UOpSlot};
+pub use uop::{lower_program, UOp, UOpSlot};
 
 use std::fmt;
 

@@ -1,11 +1,10 @@
-//! Basic-block discovery and micro-op lowering for the translated
-//! execution engine.
+//! Micro-op lowering for the translated execution engine.
 //!
 //! The simulator's fast path (see `stitch-cpu`'s translated engine and
-//! the chip's compute windows in `stitch-sim`) decodes each W32 basic
-//! block once into the flat, cache-friendly threaded-code form defined
-//! here, instead of re-matching the [`Instr`] tree on every executed
-//! instruction.
+//! the chip's compute windows in `stitch-sim`) lowers each loaded W32
+//! program once into the flat table defined here — one [`UOpSlot`] per
+//! instruction, indexed by pc — instead of re-matching the [`Instr`]
+//! tree on every executed instruction.
 //!
 //! Lowering is purely *structural*: operand registers and immediates are
 //! pre-extracted, control-flow targets resolved against the program
@@ -15,28 +14,24 @@
 //! exactly one place per instruction class and the lowered form can
 //! never drift from it.
 //!
-//! Micro-ops are 1:1 with program instructions: the micro-op at index
-//! `i` of a block lowered from `entry` models the instruction at pc
-//! `entry + i`. This lets the executor stop a block mid-way (for
-//! horizon clamps) and hand any pc back to the interpreter.
-//!
-//! Instructions the translated engine must never retire on its own —
-//! `send`/`recv` (NIC events), `halt` (liveness bookkeeping), and
-//! statically out-of-range jump targets — lower to
-//! [`BlockExit::SideExit`], which names the instruction the interpreter
-//! has to execute instead.
+//! Because slot `i` models the instruction at pc `i`, the executor can
+//! enter, stop (for horizon clamps) and hand back to the interpreter at
+//! any pc. Instructions the translated engine must never retire on its
+//! own — `send`/`recv` (NIC events), `halt` (liveness bookkeeping), and
+//! statically out-of-range jump targets — lower to [`UOp::Exit`].
 
 use crate::custom::{CiId, CustomInstr};
 use crate::instr::{Cond, Instr, Operand, Width};
 use crate::op::AluOp;
 use crate::reg::Reg;
 
-/// One lowered micro-op: the straight-line subset of W32.
+/// One lowered micro-op: one W32 instruction.
 ///
 /// Operands are pre-extracted so the executor touches no [`Instr`]
-/// variants on the hot path. `Custom` and `Store` keep *runtime* side
-/// conditions (unbound/faulted patches, crossbar-config stores) that the
-/// executor re-checks before committing to inline execution.
+/// variants on the hot path. `Custom`, `Store` and `Jalr` keep *runtime*
+/// side conditions (unbound/faulted patches, crossbar-config stores,
+/// out-of-range indirect targets) that the executor re-checks before
+/// committing to inline execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UOp {
     /// No operation.
@@ -107,6 +102,39 @@ pub enum UOp {
         /// Second output register, if any.
         out1: Option<Reg>,
     },
+    /// Conditional branch; falls through to the next pc when not taken.
+    /// Lowered only when `target` is in range, so taken dispatch can
+    /// never fault.
+    Branch {
+        /// Condition.
+        cond: Cond,
+        /// First comparison operand.
+        rs1: Reg,
+        /// Second comparison operand.
+        rs2: Reg,
+        /// Absolute target instruction index.
+        target: u32,
+    },
+    /// Unconditional jump-and-link; `rd` receives the next pc.
+    Jal {
+        /// Link destination register.
+        rd: Reg,
+        /// Absolute target instruction index.
+        target: u32,
+    },
+    /// Indirect jump-and-link through `rs`. The executor must bounce
+    /// out-of-range runtime targets to the interpreter (which raises
+    /// the architectural `BadTarget` fault with the exact partial
+    /// effects of the real pipeline).
+    Jalr {
+        /// Link destination register.
+        rd: Reg,
+        /// Register holding the target instruction index.
+        rs: Reg,
+    },
+    /// The interpreter must execute this instruction: `send`/`recv`/
+    /// `halt`, or a `branch`/`jal` whose static target lies past the text.
+    Exit,
 }
 
 /// A micro-op plus its instruction-fetch footprint.
@@ -121,81 +149,82 @@ pub struct UOpSlot {
     pub op: UOp,
 }
 
-/// How a lowered block hands control onward.
+/// Lowers one instruction of a text of `len` instructions.
 ///
-/// `Branch`/`Jal`/`Jalr` are executed by the translated engine itself
-/// (threaded dispatch into the successor block); `SideExit` returns
-/// control to the interpreter at the named instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockExit {
-    /// Conditional branch; falls through to `at + 1` when not taken.
-    /// Lowered only when `target` is in range, so taken dispatch can
-    /// never fault.
-    Branch {
-        /// Condition.
-        cond: Cond,
-        /// First comparison operand.
-        rs1: Reg,
-        /// Second comparison operand.
-        rs2: Reg,
-        /// Absolute target instruction index.
-        target: u32,
-        /// Instruction index of the branch itself.
-        at: u32,
-        /// Word offset of the branch (fetch footprint, one word).
-        off: u32,
-    },
-    /// Unconditional jump-and-link; `rd` receives `at + 1`.
-    Jal {
-        /// Link destination register.
-        rd: Reg,
-        /// Absolute target instruction index.
-        target: u32,
-        /// Instruction index of the jump itself.
-        at: u32,
-        /// Word offset of the jump.
-        off: u32,
-    },
-    /// Indirect jump-and-link through `rs`. The executor must bounce
-    /// out-of-range runtime targets to the interpreter (which raises
-    /// the architectural `BadTarget` fault with the exact partial
-    /// effects of the real pipeline).
-    Jalr {
-        /// Link destination register.
-        rd: Reg,
-        /// Register holding the target instruction index.
-        rs: Reg,
-        /// Instruction index of the jump itself.
-        at: u32,
-        /// Word offset of the jump.
-        off: u32,
-    },
-    /// The instruction at `at` must be executed by the interpreter:
-    /// `send`/`recv`/`halt`, a statically out-of-range jump, or the pc
-    /// running off the end of the text (`at == text len`).
-    SideExit {
-        /// Instruction index to hand back to the interpreter.
-        at: u32,
-    },
-}
-
-/// One translated basic block: straight-line micro-ops plus an exit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MicroBlock {
-    /// Instruction index the block was lowered from.
-    pub entry: u32,
-    /// Straight-line micro-ops; index `i` models pc `entry + i`.
-    pub uops: Vec<UOpSlot>,
-    /// The block terminator.
-    pub exit: BlockExit,
-}
-
-impl MicroBlock {
-    /// The pc modelled by micro-op index `idx`.
-    #[must_use]
-    pub fn pc_at(&self, idx: usize) -> u32 {
-        self.entry + idx as u32
+/// A static jump target equal to `len` is legal (the *next* step faults
+/// with `PcOutOfRange`); past it the jump itself faults in the
+/// interpreter, so it lowers to [`UOp::Exit`].
+#[must_use]
+pub fn lower(instr: &Instr, len: u32) -> UOp {
+    match *instr {
+        Instr::Nop => UOp::Nop,
+        Instr::Alu { op, rd, rs1, src2 } => match src2 {
+            Operand::Reg(rs2) => UOp::AluRR { op, rd, rs1, rs2 },
+            Operand::Imm(imm) => UOp::AluRI { op, rd, rs1, imm },
+        },
+        Instr::Lui { rd, imm } => UOp::Lui { rd, val: imm << 12 },
+        Instr::Load {
+            w,
+            rd,
+            base,
+            offset,
+        } => UOp::Load {
+            w,
+            rd,
+            base,
+            offset,
+        },
+        Instr::Store {
+            w,
+            rs,
+            base,
+            offset,
+        } => UOp::Store {
+            w,
+            rs,
+            base,
+            offset,
+        },
+        Instr::Custom(ref ci) => lower_custom(ci),
+        Instr::Branch {
+            cond,
+            rs1,
+            rs2,
+            target,
+        } if target <= len => UOp::Branch {
+            cond,
+            rs1,
+            rs2,
+            target,
+        },
+        Instr::Jal { rd, target } if target <= len => UOp::Jal { rd, target },
+        Instr::Jalr { rd, rs } => UOp::Jalr { rd, rs },
+        Instr::Branch { .. }
+        | Instr::Jal { .. }
+        | Instr::Halt
+        | Instr::Send { .. }
+        | Instr::Recv { .. } => UOp::Exit,
     }
+}
+
+/// Lowers a whole program text: slot `i` models the instruction at pc
+/// `i`, with its word offset accumulated from the widths before it.
+#[must_use]
+pub fn lower_program(instrs: &[Instr]) -> Vec<UOpSlot> {
+    let len = instrs.len() as u32;
+    let mut off = 0;
+    instrs
+        .iter()
+        .map(|instr| {
+            let slot = UOpSlot {
+                off,
+                words: instr.words(),
+                op: lower(instr, len),
+            };
+            off += slot.words;
+            slot
+        })
+        .collect()
 }
 
 /// Lowers the custom instruction's operand plumbing.
@@ -208,165 +237,10 @@ fn lower_custom(ci: &CustomInstr) -> UOp {
     }
 }
 
-/// Discovers and lowers the basic block starting at `entry`.
-///
-/// The block extends until the first terminator ([`Instr::
-/// is_block_terminator`]) or the end of the text. Any `entry` inside
-/// the text is a legal block head — indirect jumps and horizon-clamped
-/// windows re-enter blocks at arbitrary pcs, and overlapping blocks are
-/// fine because lowering is pure.
-///
-/// `word_offsets[i]` must be the cumulative word offset of instruction
-/// `i` (as built by the core's text image); `entry` must be `< instrs.
-/// len()`.
-#[must_use]
-pub fn translate_block(instrs: &[Instr], word_offsets: &[u32], entry: u32) -> MicroBlock {
-    let len = instrs.len() as u32;
-    debug_assert!(entry < len, "block entry {entry} outside text of {len}");
-    let mut uops = Vec::new();
-    let mut pc = entry;
-    let exit = loop {
-        let Some(instr) = instrs.get(pc as usize) else {
-            // Fell off the end of the text: the interpreter raises the
-            // architectural PcOutOfRange fault.
-            break BlockExit::SideExit { at: pc };
-        };
-        let off = word_offsets[pc as usize];
-        match instr {
-            Instr::Branch {
-                cond,
-                rs1,
-                rs2,
-                target,
-            } => {
-                // A taken branch to `target > len` faults in jump_to;
-                // leave that rare shape to the interpreter entirely
-                // (`target == len` is legal: the *next* step faults).
-                break if *target > len {
-                    BlockExit::SideExit { at: pc }
-                } else {
-                    BlockExit::Branch {
-                        cond: *cond,
-                        rs1: *rs1,
-                        rs2: *rs2,
-                        target: *target,
-                        at: pc,
-                        off,
-                    }
-                };
-            }
-            Instr::Jal { rd, target } => {
-                break if *target > len {
-                    BlockExit::SideExit { at: pc }
-                } else {
-                    BlockExit::Jal {
-                        rd: *rd,
-                        target: *target,
-                        at: pc,
-                        off,
-                    }
-                };
-            }
-            Instr::Jalr { rd, rs } => {
-                break BlockExit::Jalr {
-                    rd: *rd,
-                    rs: *rs,
-                    at: pc,
-                    off,
-                }
-            }
-            Instr::Halt | Instr::Send { .. } | Instr::Recv { .. } => {
-                break BlockExit::SideExit { at: pc }
-            }
-            Instr::Nop => uops.push(UOpSlot {
-                off,
-                words: 1,
-                op: UOp::Nop,
-            }),
-            Instr::Alu { op, rd, rs1, src2 } => {
-                let lowered = match src2 {
-                    Operand::Reg(rs2) => UOp::AluRR {
-                        op: *op,
-                        rd: *rd,
-                        rs1: *rs1,
-                        rs2: *rs2,
-                    },
-                    Operand::Imm(imm) => UOp::AluRI {
-                        op: *op,
-                        rd: *rd,
-                        rs1: *rs1,
-                        imm: *imm,
-                    },
-                };
-                uops.push(UOpSlot {
-                    off,
-                    words: 1,
-                    op: lowered,
-                });
-            }
-            Instr::Lui { rd, imm } => uops.push(UOpSlot {
-                off,
-                words: 1,
-                op: UOp::Lui {
-                    rd: *rd,
-                    val: imm << 12,
-                },
-            }),
-            Instr::Load {
-                w,
-                rd,
-                base,
-                offset,
-            } => uops.push(UOpSlot {
-                off,
-                words: 1,
-                op: UOp::Load {
-                    w: *w,
-                    rd: *rd,
-                    base: *base,
-                    offset: *offset,
-                },
-            }),
-            Instr::Store {
-                w,
-                rs,
-                base,
-                offset,
-            } => uops.push(UOpSlot {
-                off,
-                words: 1,
-                op: UOp::Store {
-                    w: *w,
-                    rs: *rs,
-                    base: *base,
-                    offset: *offset,
-                },
-            }),
-            Instr::Custom(ci) => uops.push(UOpSlot {
-                off,
-                words: 2,
-                op: lower_custom(ci),
-            }),
-        }
-        pc += 1;
-    };
-    MicroBlock { entry, uops, exit }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::program::ProgramBuilder;
-
-    fn offsets(instrs: &[Instr]) -> Vec<u32> {
-        let mut v = Vec::with_capacity(instrs.len());
-        let mut off = 0;
-        for i in instrs {
-            v.push(off);
-            off += i.words();
-        }
-        v
-    }
 
     #[test]
     fn straight_line_block_lowers_one_to_one() {
@@ -376,15 +250,12 @@ mod tests {
         b.sw(Reg::R2, Reg::R1, 0);
         b.halt();
         let p = b.build().expect("program");
-        let offs = offsets(&p.instrs);
-        let blk = translate_block(&p.instrs, &offs, 0);
-        assert_eq!(blk.entry, 0);
-        assert_eq!(blk.uops.len(), 3);
-        assert_eq!(blk.exit, BlockExit::SideExit { at: 3 });
-        assert_eq!(blk.pc_at(2), 2);
+        let table = lower_program(&p.instrs);
+        assert_eq!(table.len(), p.instrs.len());
+        assert_eq!(table[3].op, UOp::Exit, "halt hands back to the interpreter");
         // Fetch footprints follow the word offsets.
-        for (i, s) in blk.uops.iter().enumerate() {
-            assert_eq!(s.off, offs[i]);
+        for (i, s) in table.iter().enumerate() {
+            assert_eq!(s.off, i as u32);
             assert_eq!(s.words, 1);
         }
     }
@@ -398,33 +269,28 @@ mod tests {
         b.branch(Cond::Ne, Reg::R1, Reg::R0, top);
         b.halt();
         let p = b.build().expect("program");
-        let offs = offsets(&p.instrs);
-        let blk = translate_block(&p.instrs, &offs, 1);
-        assert_eq!(blk.uops.len(), 1);
-        match blk.exit {
-            BlockExit::Branch { target, at, .. } => {
-                assert_eq!(target, 1);
-                assert_eq!(at, 2);
-            }
-            other => panic!("expected branch exit, got {other:?}"),
+        let table = lower_program(&p.instrs);
+        match table[2].op {
+            UOp::Branch { target, .. } => assert_eq!(target, 1),
+            other => panic!("expected branch uop, got {other:?}"),
         }
     }
 
     #[test]
     fn mid_block_entry_is_legal() {
+        // Lowering is per instruction, so the slot at any pc is exactly
+        // that instruction lowered on its own: entering there is legal.
         let mut b = ProgramBuilder::new();
         b.li(Reg::R1, 1);
         b.li(Reg::R2, 2);
         b.li(Reg::R3, 3);
         b.halt();
         let p = b.build().expect("program");
-        let offs = offsets(&p.instrs);
-        let whole = translate_block(&p.instrs, &offs, 0);
-        let tail = translate_block(&p.instrs, &offs, 2);
-        assert_eq!(whole.uops.len(), 3);
-        assert_eq!(tail.uops.len(), 1);
-        assert_eq!(tail.entry, 2);
-        assert_eq!(tail.exit, BlockExit::SideExit { at: 3 });
+        let table = lower_program(&p.instrs);
+        let len = p.instrs.len() as u32;
+        for (i, instr) in p.instrs.iter().enumerate() {
+            assert_eq!(table[i].op, lower(instr, len), "pc {i}");
+        }
     }
 
     #[test]
@@ -439,17 +305,16 @@ mod tests {
             },
             Instr::Halt,
         ];
-        let offs = offsets(&instrs);
-        let blk = translate_block(&instrs, &offs, 0);
-        assert_eq!(blk.exit, BlockExit::SideExit { at: 0 });
+        assert_eq!(lower_program(&instrs)[0].op, UOp::Exit);
         // `target == len` is legal (the next step faults, not the jump).
         let instrs = vec![Instr::Jal {
             rd: Reg::R0,
             target: 1,
         }];
-        let offs = offsets(&instrs);
-        let blk = translate_block(&instrs, &offs, 0);
-        assert!(matches!(blk.exit, BlockExit::Jal { target: 1, .. }));
+        assert!(matches!(
+            lower_program(&instrs)[0].op,
+            UOp::Jal { target: 1, .. }
+        ));
     }
 
     #[test]
@@ -466,17 +331,15 @@ mod tests {
             .expect("custom");
         b.halt();
         let p = b.build().expect("program");
-        let offs = offsets(&p.instrs);
-        let blk = translate_block(&p.instrs, &offs, 0);
-        assert_eq!(blk.uops.len(), 2);
-        assert_eq!(blk.uops[1].words, 2, "custom instructions are two words");
-        match blk.uops[1].op {
+        let table = lower_program(&p.instrs);
+        assert_eq!(table[1].words, 2, "custom instructions are two words");
+        assert_eq!(table[2].off, 3, "the halt follows the custom's two words");
+        match table[1].op {
             UOp::Custom {
                 id,
                 ins,
                 out0,
                 out1,
-                ..
             } => {
                 assert_eq!(id, CiId(0));
                 assert_eq!(ins, [Reg::R1, Reg::R2, Reg::R0, Reg::R0]);

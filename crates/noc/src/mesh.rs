@@ -984,7 +984,8 @@ impl Mesh {
     /// more words than its message declares.
     ///
     /// Returns a description of the first violation found. Runs an
-    /// exhaustive scan, so callers gate it (debug builds / paranoid mode).
+    /// exhaustive scan, so callers gate it (the chip runs it in debug
+    /// builds only).
     ///
     /// # Errors
     ///

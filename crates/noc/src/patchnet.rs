@@ -129,7 +129,7 @@ pub enum PatchNetError {
         detail: &'static str,
     },
     /// A reserved circuit's path is no longer driven by the switch state
-    /// (a reconfigure broke it) — reported by the paranoid validator.
+    /// (a reconfigure broke it) — reported by [`PatchNet::validate_circuits`].
     BrokenCircuit {
         /// Circuit source tile.
         from: TileId,
@@ -433,8 +433,8 @@ impl PatchNet {
     /// mutated; on error the network is unmodified. Whether the switch
     /// state still *carries* each circuit is deliberately not checked
     /// here — a raw `cfgxbar` write can legitimately sever a circuit on a
-    /// live chip, and such states must round-trip; the paranoid
-    /// [`PatchNet::validate_circuits`] pass owns that legality question.
+    /// live chip, and such states must round-trip;
+    /// [`PatchNet::validate_circuits`] owns that legality question.
     ///
     /// # Errors
     ///
@@ -473,7 +473,7 @@ impl PatchNet {
     /// Verifies that every reserved circuit is still carried by the
     /// current switch state (both directions at every hop). A raw
     /// `cfgxbar` write can silently sever a circuit — this is the
-    /// legality check the paranoid invariant mode runs after every
+    /// legality check debug builds of the chip run after every
     /// reconfigure.
     ///
     /// # Errors
@@ -591,8 +591,9 @@ fn circuit_shape(topo: Topology, c: &Circuit) -> Result<(), PatchNetError> {
 }
 
 /// Checks that `switches` drives both legs of `c` at every hop. Shared by
-/// the paranoid validator and the snapshot restore path; indexes through
-/// `get` so an out-of-range tile is a typed error, never a panic.
+/// [`PatchNet::validate_circuits`] and the snapshot restore path;
+/// indexes through `get` so an out-of-range tile is a typed error, never
+/// a panic.
 fn circuit_carried(
     switches: &[SwitchConfig],
     topo: Topology,

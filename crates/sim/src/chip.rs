@@ -98,11 +98,10 @@ pub enum SimError {
         /// What was found broken.
         kind: FaultedKind,
     },
-    /// A runtime self-check failed (see [`Chip::set_paranoid`]): the
-    /// simulated hardware reached a state its own conservation laws
-    /// forbid — a simulator bug, not a modelled fault.
+    /// A runtime self-check failed: the chip could not restore its own
+    /// rollback checkpoint — a simulator bug, not a modelled fault.
     InvariantViolation {
-        /// Which component's invariant broke (`"mesh"`, `"patchnet"`).
+        /// Which component's invariant broke (`"rollback"`).
         component: &'static str,
         /// Cycle at which the check failed.
         cycle: u64,
@@ -445,6 +444,8 @@ struct TilePlatform<'a> {
     /// re-validates circuit legality right after the tick.
     xbar_reconfigured: &'a mut bool,
     faults: Option<&'a mut FaultRuntime>,
+    /// [`Chip::rollback_armed`] for this tick.
+    rollback_armed: bool,
     tracer: &'a mut Tracer,
 }
 
@@ -514,7 +515,14 @@ impl Platform for TilePlatform<'_> {
                 }
                 extra += scrubbed;
             }
-            rung = f.rung(self.tile, ci, binding, self.patchnet, cycle);
+            rung = f.rung(
+                self.tile,
+                ci,
+                binding,
+                self.patchnet,
+                cycle,
+                self.rollback_armed,
+            );
             match rung {
                 Rung::Healthy => {}
                 Rung::Faulted(kind) => return Err(CpuError::PatchFaulted { ci, kind }),
@@ -626,6 +634,8 @@ struct WindowHost<'a> {
     bindings: &'a [(u16, CiBinding)],
     activations: &'a mut [u64],
     faults: Option<&'a mut FaultRuntime>,
+    /// [`Chip::rollback_armed`] for this window.
+    rollback_armed: bool,
     patchnet: &'a PatchNet,
     /// I-cache line of the most recent fetch (`u64::MAX` = no streak),
     /// for the fetch-streak fast path below.
@@ -697,7 +707,14 @@ impl<'a> LaneHost for WindowHost<'a> {
         let rung = match self.faults.as_deref() {
             None => Rung::Healthy,
             Some(f) if f.scrub_pending(self.tile, binding) => return None,
-            Some(f) => f.rung(self.tile, ci, binding, self.patchnet, t),
+            Some(f) => f.rung(
+                self.tile,
+                ci,
+                binding,
+                self.patchnet,
+                t,
+                self.rollback_armed,
+            ),
         };
         rung.inline().then_some((binding, rung))
     }
@@ -729,9 +746,11 @@ pub struct TranslationStats {
     pub batched_cycles: u64,
     /// Instructions retired by the translated engine.
     pub uops_executed: u64,
-    /// Basic blocks lowered to micro-ops across all tiles.
+    /// Distinct window entry points — pcs where a window started or a
+    /// jump landed — summed over tiles (named for the basic blocks each
+    /// entry once lowered).
     pub blocks_translated: u64,
-    /// Block dispatches served from the per-tile translation caches.
+    /// Repeated entries at an already-entered pc, summed over tiles.
     pub cache_hits: u64,
 }
 
@@ -760,7 +779,7 @@ pub struct Chip {
     /// Cycles elided by the fast path (diagnostic; not part of the
     /// summary, which must stay bit-identical to the reference loop).
     skipped: u64,
-    /// Translated (basic-block micro-op) execution enabled for `run`.
+    /// Translated (per-instruction micro-op) execution enabled for `run`.
     translate: bool,
     /// Per-tile translation caches (cleared on program swap; not part of
     /// snapshots — lowering is a pure function of the loaded program).
@@ -770,8 +789,6 @@ pub struct Chip {
     /// Installed fault plan and its runtime state, if any. `None` keeps
     /// every fault check off the hot paths of fault-free runs.
     faults: Option<FaultRuntime>,
-    /// Opt-in per-tick self-checks (see [`Chip::set_paranoid`]).
-    paranoid: bool,
     /// A store reconfigured a crossbar during the current tick.
     xbar_reconfigured: bool,
     /// Hard resource caps for untrusted runs (unlimited by default).
@@ -824,7 +841,6 @@ impl Chip {
             trans: (0..n).map(|_| TransCache::new()).collect(),
             tstats: TranslationStats::default(),
             faults: None,
-            paranoid: false,
             xbar_reconfigured: false,
             budget: RunBudget::unlimited(),
             rollback: None,
@@ -844,11 +860,6 @@ impl Chip {
         self.tracer = Tracer::new(&cfg);
     }
 
-    /// The active tracer (e.g. to attach an extra sink).
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
-    }
-
     /// Tears tracing down and returns the retained event stream, or
     /// `None` if tracing was never enabled.
     pub fn take_trace(&mut self) -> Option<TraceCapture> {
@@ -860,23 +871,12 @@ impl Chip {
     /// before the first `run` so they line up with the schedule.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = Some(FaultRuntime::new(plan, self.cfg.topo.tiles()));
-        self.sync_rollback_armed();
     }
 
     /// Fault-handling counters (all zero when no plan is installed).
     #[must_use]
     pub fn fault_stats(&self) -> FaultStats {
         self.faults.as_ref().map(|f| f.stats).unwrap_or_default()
-    }
-
-    /// Enables (or disables) per-tick hardware self-checks: mesh flit
-    /// conservation and buffer occupancy after every tick, inter-patch
-    /// circuit legality after every crossbar reconfiguration. Violations
-    /// surface as [`SimError::InvariantViolation`]. Debug builds run the
-    /// same checks as `debug_assert`s even when this is off; release
-    /// builds skip them entirely unless enabled here.
-    pub fn set_paranoid(&mut self, on: bool) {
-        self.paranoid = on;
     }
 
     /// Installs hard resource caps for subsequent runs (see
@@ -1031,7 +1031,6 @@ impl Chip {
             .count();
         self.waiting = self.waiting_on.iter().filter(|w| w.is_some()).count();
         self.xbar_reconfigured = false;
-        self.sync_rollback_armed();
         Ok(())
     }
 
@@ -1054,7 +1053,6 @@ impl Chip {
             next_checkpoint: self.cycle + interval,
             last: Some(snap),
         });
-        self.sync_rollback_armed();
     }
 
     /// Encoded size in bytes of the current rollback checkpoint, or
@@ -1068,17 +1066,14 @@ impl Chip {
             .map(|s| s.encode().len() as u64)
     }
 
-    /// Re-derives the fault runtime's `rollback_armed` flag from the
-    /// chip-side rollback state. Detections only queue rollback requests
-    /// while armed, so a queued request is always serviceable.
-    fn sync_rollback_armed(&mut self) {
-        let armed = self
-            .rollback
+    /// True while a checkpoint and a rollback retry budget are both
+    /// available; fault detections only request rollbacks while armed.
+    /// Only the rollback service between ticks changes it, so it is
+    /// fixed for a whole tick or window.
+    fn rollback_armed(&self) -> bool {
+        self.rollback
             .as_ref()
-            .is_some_and(|r| r.budget_left > 0 && r.last.is_some());
-        if let Some(f) = self.faults.as_mut() {
-            f.rollback_armed = armed;
-        }
+            .is_some_and(|r| r.budget_left > 0 && r.last.is_some())
     }
 
     /// Runs right after every tick while rollback is enabled: serves a
@@ -1105,7 +1100,6 @@ impl Chip {
                 rb.last = Some(snap);
                 rb.next_checkpoint = self.cycle + rb.interval;
             }
-            self.sync_rollback_armed();
             // Snapshot-size budget: checked right where the checkpoint
             // grows. Both engines refresh at identical cycles (the fast
             // path never jumps a periodic checkpoint), so the failing
@@ -1182,7 +1176,6 @@ impl Chip {
             }
             f.stats.rollbacks = rollbacks;
         }
-        self.sync_rollback_armed();
         Ok(())
     }
 
@@ -1190,11 +1183,6 @@ impl Chip {
     #[must_use]
     pub fn config(&self) -> &ChipConfig {
         &self.cfg
-    }
-
-    /// Mutable access to the inter-patch network (for the stitcher).
-    pub fn patchnet_mut(&mut self) -> &mut PatchNet {
-        &mut self.patchnet
     }
 
     /// Read access to the inter-patch network.
@@ -1429,6 +1417,7 @@ impl Chip {
         // `recv` (waiting cores poll every cycle; the fast path batches
         // those polls separately).
         let mut next_wake = u64::MAX;
+        let rollback_armed = self.rollback_armed();
         for i in 0..n {
             if self.busy_until[i] > self.cycle {
                 next_wake = next_wake.min(self.busy_until[i]);
@@ -1451,6 +1440,7 @@ impl Chip {
                 xbar_errors: &mut self.xbar_errors,
                 xbar_reconfigured: &mut self.xbar_reconfigured,
                 faults: self.faults.as_mut(),
+                rollback_armed,
                 tracer: &mut self.tracer,
             };
             let outcome = core.step(&mut plat);
@@ -1513,54 +1503,27 @@ impl Chip {
         }
         self.next_wake = next_wake;
         let reconfigured = std::mem::take(&mut self.xbar_reconfigured);
-        if self.paranoid || cfg!(debug_assertions) {
-            self.verify_tick_invariants(reconfigured)?;
-        }
+        self.debug_check_tick(reconfigured);
         Ok(())
     }
 
-    /// Per-tick self-checks: mesh conservation always, circuit legality
-    /// after a crossbar reconfiguration. In paranoid mode a violation is
-    /// a typed error; in plain debug builds it is a `debug_assert`.
-    fn verify_tick_invariants(&mut self, reconfigured: bool) -> Result<(), SimError> {
-        // Plain debug builds only pay for the mesh scan while traffic is
-        // in flight; paranoid mode scans every tick (a ghost flit after
-        // delivery would only be caught with traffic drained).
-        if (self.paranoid || !self.mesh.idle()) && self.mesh.check_invariants().is_err() {
-            return self.report_mesh_violation();
-        }
-        if reconfigured {
-            if let Err(e) = self.patchnet.validate_circuits() {
-                let err = SimError::InvariantViolation {
-                    component: "patchnet",
-                    cycle: self.cycle,
-                    detail: e.to_string(),
-                };
-                if self.paranoid {
-                    return Err(err);
-                }
-                debug_assert!(false, "{err}");
-            }
-        }
-        Ok(())
-    }
-
-    /// Builds (and, in paranoid mode, returns) the typed error for a mesh
-    /// invariant violation; out of line to keep the per-tick check small.
-    #[cold]
-    fn report_mesh_violation(&self) -> Result<(), SimError> {
-        if let Err(detail) = self.mesh.check_invariants() {
-            let err = SimError::InvariantViolation {
-                component: "mesh",
-                cycle: self.cycle,
-                detail,
-            };
-            if self.paranoid {
-                return Err(err);
-            }
-            debug_assert!(false, "{err}");
-        }
-        Ok(())
+    /// Debug-build self-checks after every tick: mesh flit conservation
+    /// while traffic is in flight, and inter-patch circuit legality after
+    /// a crossbar reconfiguration. A failure is a simulator bug, not a
+    /// modelled fault; release builds compile the checks out.
+    fn debug_check_tick(&self, reconfigured: bool) {
+        debug_assert!(
+            self.mesh.idle() || self.mesh.check_invariants().is_ok(),
+            "mesh invariant violated at cycle {}: {:?}",
+            self.cycle,
+            self.mesh.check_invariants()
+        );
+        debug_assert!(
+            !reconfigured || self.patchnet.validate_circuits().is_ok(),
+            "patchnet invariant violated at cycle {}: {:?}",
+            self.cycle,
+            self.patchnet.validate_circuits()
+        );
     }
 
     /// Applies every fault event whose cycle has been reached.
@@ -1775,7 +1738,7 @@ impl Chip {
     ///
     /// With translation on, tracing off and no `memory_pages` cap (whose
     /// crossing cycle needs per-tick stores — see [`Chip::set_budget`]),
-    /// every ready core first runs through the basic-block micro-op
+    /// every ready core first runs through the translated micro-op
     /// engine up to the horizon or a side exit (send/recv/halt,
     /// crossbar-config store, a custom whose fault-ladder rung needs the
     /// interpreter, architectural fault). Under a fault plan the horizon
@@ -1852,6 +1815,7 @@ impl Chip {
     fn run_lanes(&mut self, horizon: u64) -> Option<u64> {
         let mut fence = horizon;
         let mut progressed = false;
+        let rollback_armed = self.rollback_armed();
         for i in 0..self.cores.len() {
             if self.waiting_on[i].is_some() {
                 continue;
@@ -1873,6 +1837,7 @@ impl Chip {
                 bindings: &self.bindings[i],
                 activations: &mut self.activations,
                 faults: self.faults.as_mut(),
+                rollback_armed,
                 patchnet: &self.patchnet,
                 fetch_line: u64::MAX,
                 fetch_addr: 0,
@@ -1930,7 +1895,7 @@ impl Chip {
         self.cycle = target;
     }
 
-    /// Enables or disables the translated (basic-block micro-op) engine
+    /// Enables or disables the translated (per-instruction micro-op) engine
     /// used by [`Chip::run`]. On by default; disabling forces every
     /// instruction through the interpreter (the fast path then only
     /// skips). Results are bit-identical either way.
@@ -1970,10 +1935,11 @@ impl Chip {
         self.tracer.events_emitted()
     }
 
-    /// Basic blocks lowered by the translated engine, as `(tile index,
-    /// entry pc)` pairs. This is the coverage signal the fuzzer feeds
-    /// back on: a mutated program that lights up a new entry exercised
-    /// a control-flow path no earlier input reached.
+    /// Entry points of translated windows — where a window started or a
+    /// jump landed — as `(tile index, entry pc)` pairs. This is the
+    /// coverage signal the fuzzer feeds back on: a mutated program that
+    /// lights up a new entry exercised a control-flow path no earlier
+    /// input reached.
     #[must_use]
     pub fn translation_coverage(&self) -> Vec<(usize, u32)> {
         self.trans

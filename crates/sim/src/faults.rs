@@ -135,10 +135,6 @@ pub(crate) struct FaultRuntime {
     pub watchdog_tripped: HashSet<(u8, u16)>,
     /// Counters.
     pub stats: FaultStats,
-    /// Maintained by the chip: true while a checkpoint and a rollback
-    /// retry budget are both available. Detections only queue rollback
-    /// requests while armed, so a queued request is always serviceable.
-    pub rollback_armed: bool,
     /// Masks requested by detections during the current tick; drained by
     /// the chip's rollback service immediately after the tick.
     pub pending_masks: Vec<PendingMask>,
@@ -156,7 +152,6 @@ impl FaultRuntime {
             config_upset: vec![false; tiles],
             watchdog_tripped: HashSet::new(),
             stats: FaultStats::default(),
-            rollback_armed: false,
             pending_masks: Vec::new(),
         }
     }
@@ -211,6 +206,9 @@ impl FaultRuntime {
     /// window retires the rungs [`Rung::inline`] accepts and side-exits
     /// the rest. Config scrubs are not rungs — they are consumed (or, in
     /// a window, side-exited on) before the rung is read.
+    /// A transient fault rolls back only while `rollback_armed`: the chip
+    /// holds a checkpoint and retry budget, so a queued rollback request
+    /// is always serviceable.
     pub fn rung(
         &self,
         tile: TileId,
@@ -218,6 +216,7 @@ impl FaultRuntime {
         binding: &CiBinding,
         patchnet: &PatchNet,
         cycle: u64,
+        rollback_armed: bool,
     ) -> Rung {
         let (kind, transient) = if self.patch_down(tile, cycle) {
             let transient = self.patch_down_until[tile.index()] != u64::MAX;
@@ -242,7 +241,7 @@ impl FaultRuntime {
         };
         if !self.plan.degrade() {
             Rung::Faulted(kind)
-        } else if self.rollback_armed && transient {
+        } else if rollback_armed && transient {
             // Masking a permanent blocker would replay into the same
             // wall forever, so only all-transient blockers roll back.
             Rung::Rollback
@@ -324,8 +323,7 @@ impl FaultRuntime {
     }
 
     /// Rebuilds the runtime from a snapshot (lengths validated by the
-    /// chip before this is called). `rollback_armed` is chip-managed and
-    /// re-synced by the caller.
+    /// chip before this is called).
     pub fn from_snapshot(snap: &FaultRuntimeSnapshot) -> Self {
         FaultRuntime {
             plan: snap.plan.clone(),
@@ -337,7 +335,6 @@ impl FaultRuntime {
             config_upset: snap.config_upset.clone(),
             watchdog_tripped: snap.watchdog_tripped.iter().copied().collect(),
             stats: snap.stats,
-            rollback_armed: false,
             pending_masks: Vec::new(),
         }
     }

@@ -51,7 +51,7 @@ fn fast_path_matches_reference_on_fused_ci_workloads() {
     }
 }
 
-/// The translated (basic-block micro-op) engine is on by default in
+/// The translated (per-instruction micro-op) engine is on by default in
 /// `Chip::run`; with it forced off, `run`'s fast path only skips
 /// cycles and the interpreter executes every instruction. Both must
 /// agree bit-for-bit — and the translated side must actually have

@@ -5,7 +5,7 @@
 //! branches on every condition, `jal`/`jalr` subroutine calls,
 //! single-patch custom instructions, and the multi-tile `send`/`recv`
 //! pipelines from `common` — run once through the translated fast path
-//! (`Chip::run`, basic-block micro-op windows) and once through the
+//! (`Chip::run`, micro-op windows) and once through the
 //! tick-by-tick reference loop (`Chip::run_reference`). Summaries,
 //! final cycles, architectural results, and truncated-budget *error*
 //! outcomes must all match bit-for-bit.

@@ -51,7 +51,7 @@ pub(crate) fn app_input_key(
     h.field(b"stitch-prepared-app");
     h.field(&VERIFIER_VERSION.to_le_bytes());
     h.field(app.name.as_bytes());
-    h.field(format!("{arch:?}").as_bytes());
+    h.field(&[arch_code(arch)]);
     h.field(&frames.to_le_bytes());
     let mut rec = Rec::new();
     rec.u32(masked.len() as u32);
@@ -75,6 +75,17 @@ pub(crate) fn app_input_key(
     }
     h.field(rec.as_bytes());
     Some(format!("app-{}-{}", app.name, h.finalize_hex()))
+}
+
+/// The architecture's code in [`app_input_key`]: fixed per variant, so a
+/// renamed variant keeps its key (a `Debug` string would not).
+fn arch_code(arch: Arch) -> u8 {
+    match arch {
+        Arch::Baseline => 0,
+        Arch::Locus => 1,
+        Arch::StitchNoFusion => 2,
+        Arch::Stitch => 3,
+    }
 }
 
 /// Structural digest of a program: SHA-256 over its store encoding
@@ -163,11 +174,11 @@ mod tests {
     fn app_key_changes_with_every_input() {
         let app = stitch_apps::gesture();
         let base = app_input_key(&app, Arch::Stitch, 12, &[]).expect("key");
-        assert_ne!(
-            base,
-            app_input_key(&app, Arch::Baseline, 12, &[]).expect("key"),
-            "different arch must miss"
-        );
+        let per_arch: std::collections::HashSet<String> = Arch::ALL
+            .iter()
+            .map(|&arch| app_input_key(&app, arch, 12, &[]).expect("key"))
+            .collect();
+        assert_eq!(per_arch.len(), Arch::ALL.len(), "every arch keys apart");
         assert_ne!(
             base,
             app_input_key(&app, Arch::Stitch, 13, &[]).expect("key"),

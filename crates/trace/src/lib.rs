@@ -82,13 +82,6 @@ impl TraceConfig {
         self.window = window;
         self
     }
-
-    /// Replace the ring capacity.
-    #[must_use]
-    pub fn with_ring_capacity(mut self, capacity: usize) -> TraceConfig {
-        self.ring_capacity = capacity;
-        self
-    }
 }
 
 struct TraceCore {
