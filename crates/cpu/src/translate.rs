@@ -78,8 +78,9 @@ pub trait LaneHost {
     /// cycle `t`, whether the window can retire it. `None` — the CI is
     /// unbound on this tile, or its fault-ladder rung at `t` needs the
     /// interpreter — makes the lane side-exit without perturbing cache
-    /// state.
-    fn prepare_custom(&self, ci: CiId, t: u64) -> Option<Self::Custom>;
+    /// state. Within one window a lane asks at non-decreasing `t`, so a
+    /// host may remember a decision until the state behind it can change.
+    fn prepare_custom(&mut self, ci: CiId, t: u64) -> Option<Self::Custom>;
 
     /// Executes a custom instruction [`LaneHost::prepare_custom`] accepted.
     fn exec_custom(&mut self, custom: Self::Custom, inputs: [u32; 4]) -> CustomOutcome;
@@ -514,7 +515,7 @@ mod tests {
             stitch_isa::memmap::is_xbar_cfg(addr)
         }
         type Custom = CiId;
-        fn prepare_custom(&self, ci: CiId, _t: u64) -> Option<CiId> {
+        fn prepare_custom(&mut self, ci: CiId, _t: u64) -> Option<CiId> {
             Some(ci)
         }
         fn exec_custom(&mut self, ci: CiId, inputs: [u32; 4]) -> CustomOutcome {

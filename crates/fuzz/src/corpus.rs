@@ -12,10 +12,11 @@
 //! carry a non-numeric tag without a `-` instead (`<class>-<tag>.bin`,
 //! e.g. `snap-restore-err-spm_length.bin`) and survive regeneration.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::targets::Target;
+use crate::targets::{self, Target};
 
 /// Root of the checked-in corpus (inside the crate, so replay tests
 /// find it from `CARGO_MANIFEST_DIR` without configuration).
@@ -56,6 +57,33 @@ pub fn load(target: Target) -> Vec<(String, Vec<u8>)> {
             Some((class, bytes))
         })
         .collect()
+}
+
+/// Keeps `bytes` as `class`'s representative when it is the first or
+/// the smallest input seen with that class.
+pub fn keep_smallest(
+    seen: &mut BTreeMap<&'static str, Vec<u8>>,
+    class: &'static str,
+    bytes: Vec<u8>,
+) {
+    if seen.get(class).is_none_or(|old| bytes.len() < old.len()) {
+        seen.insert(class, bytes);
+    }
+}
+
+/// Runs the snapshot target on `seed` and keeps in `seen`, per class
+/// [`targets::run_snapshot`] gave an input, the smallest such input —
+/// the inputs the sweep classified, structure-aware corruptions
+/// included. Returns the seed's class. A blob lands on a fresh chip
+/// when replayed, so its corpus file is named by
+/// [`targets::replay_snapshot`]'s class, not by the key it is kept
+/// under.
+pub fn harvest_snapshot(seed: u64, seen: &mut BTreeMap<&'static str, Vec<u8>>) -> &'static str {
+    let (class, inputs) = targets::run_snapshot(seed);
+    for (class, blob) in inputs {
+        keep_smallest(seen, class, blob);
+    }
+    class
 }
 
 /// Writes a freshly minimized corpus into `dir`, replacing the

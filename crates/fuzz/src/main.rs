@@ -102,13 +102,7 @@ fn run_target(target: Target, opts: &Options) -> std::io::Result<()> {
                 let class = targets::run_decode(seed);
                 *hist.entry(class).or_default() += 1;
                 if opts.write_corpus {
-                    let bytes = decode_input(seed);
-                    let replace = seen_classes
-                        .get(class)
-                        .is_none_or(|old| bytes.len() < old.len());
-                    if replace {
-                        seen_classes.insert(class, bytes);
-                    }
+                    corpus::keep_smallest(&mut seen_classes, class, decode_input(seed));
                 }
             }
             Target::Differential => {
@@ -134,32 +128,8 @@ fn run_target(target: Target, opts: &Options) -> std::io::Result<()> {
                 }
             }
             Target::Snapshot => {
-                let (class, pristine) = targets::run_snapshot(seed);
+                let class = corpus::harvest_snapshot(seed, &mut seen_classes);
                 *hist.entry(class).or_default() += 1;
-                if opts.write_corpus {
-                    let mut rng = stitch_sim::SimRng::new(seed);
-                    for _ in 0..8 {
-                        let mut blob = pristine.clone();
-                        gen::mutate_bytes(&mut blob, &mut rng);
-                        let class = targets::replay_snapshot(&blob);
-                        let replace = seen_classes
-                            .get(class)
-                            .is_none_or(|old| blob.len() < old.len());
-                        if replace {
-                            seen_classes.insert(class, blob);
-                        }
-                    }
-                    // The pristine blob replays on a fresh chip, which
-                    // rejects workload core state — classify it by what
-                    // the replay actually reports rather than assuming.
-                    let class = targets::replay_snapshot(&pristine);
-                    let replace = seen_classes
-                        .get(class)
-                        .is_none_or(|old| pristine.len() < old.len());
-                    if replace {
-                        seen_classes.insert(class, pristine);
-                    }
-                }
             }
             Target::Json => {
                 let class = targets::run_json(seed);
@@ -171,12 +141,7 @@ fn run_target(target: Target, opts: &Options) -> std::io::Result<()> {
                     for _ in 0..4 {
                         gen::mutate_bytes(&mut bytes, &mut rng);
                         let class = targets::replay_json(&bytes);
-                        let replace = seen_classes
-                            .get(class)
-                            .is_none_or(|old| bytes.len() < old.len());
-                        if replace {
-                            seen_classes.insert(class, bytes.clone());
-                        }
+                        corpus::keep_smallest(&mut seen_classes, class, bytes.clone());
                     }
                 }
             }
@@ -196,22 +161,24 @@ fn run_target(target: Target, opts: &Options) -> std::io::Result<()> {
     );
 
     if opts.write_corpus {
+        for (class, bytes) in seen_classes {
+            // Snapshot inputs are kept by their class on the sweep's
+            // loaded twin, but the corpus replays them on a fresh chip,
+            // which rejects workload core state: name each file by what
+            // that replay reports.
+            let class = match target {
+                Target::Snapshot => targets::replay_snapshot(&bytes),
+                _ => class,
+            };
+            harvest.push((class.to_owned(), bytes));
+        }
         if target == Target::Snapshot {
             // A fresh-chip checkpoint is the one blob the bytes-only
             // replay can restore end-to-end; pin that path too.
             let blob = stitch_sim::Chip::new(stitch_sim::ChipConfig::stitch_16())
                 .checkpoint()
                 .encode();
-            let class = targets::replay_snapshot(&blob);
-            let replace = seen_classes
-                .get(class)
-                .is_none_or(|old| blob.len() < old.len());
-            if replace {
-                seen_classes.insert(class, blob);
-            }
-        }
-        for (class, bytes) in seen_classes {
-            harvest.push((class.to_owned(), bytes));
+            harvest.push((targets::replay_snapshot(&blob).to_owned(), blob));
         }
         harvest.sort();
         harvest.dedup();

@@ -318,9 +318,10 @@ pub fn replay_snapshot(bytes: &[u8]) -> &'static str {
 /// ([`gen::perturb_geometry`]), which reaches restore's validation. The
 /// pristine blob must round-trip and restore; every corruption must
 /// come back as a typed `SnapshotError` or a coherent restored state,
-/// never a panic. Returns the last corruption's class and the pristine
-/// blob for corpus harvesting.
-pub fn run_snapshot(seed: u64) -> (&'static str, Vec<u8>) {
+/// never a panic. Returns the last corruption's class and, for corpus
+/// harvesting, every blob it classified with its class on the twin:
+/// the pristine blob (`snap-ok`) first, then each corruption.
+pub fn run_snapshot(seed: u64) -> (&'static str, Vec<(&'static str, Vec<u8>)>) {
     let mut rng = SimRng::new(seed);
     let programs = gen::random_pipeline(&mut rng);
     let mut chip = Chip::new(ChipConfig::stitch_16());
@@ -351,7 +352,7 @@ pub fn run_snapshot(seed: u64) -> (&'static str, Vec<u8>) {
     twin.restore(&snap)
         .unwrap_or_else(|e| panic!("seed {seed}: pristine snapshot failed to restore: {e:?}"));
 
-    let mut last = "snap-ok";
+    let mut inputs = vec![("snap-ok", pristine.clone())];
     for _ in 0..8 {
         let blob = if rng.chance(1, 4) {
             let mut s = snap.clone();
@@ -362,13 +363,14 @@ pub fn run_snapshot(seed: u64) -> (&'static str, Vec<u8>) {
             gen::mutate_bytes(&mut blob, &mut rng);
             blob
         };
-        last = match ChipSnapshot::decode(&blob) {
+        let class = match ChipSnapshot::decode(&blob) {
             Ok(s) => match twin.restore(&s) {
                 Ok(()) => "snap-ok",
                 Err(_) => "snap-restore-err",
             },
             Err(_) => "snap-err",
         };
+        inputs.push((class, blob));
     }
     // Whatever the last restore left behind, the chip must still
     // simulate without panicking under the sandbox budget.
@@ -379,7 +381,8 @@ pub fn run_snapshot(seed: u64) -> (&'static str, Vec<u8>) {
     let noise: Vec<u8> = (0..rng.index(256)).map(|_| rng.next_u32() as u8).collect();
     let _ = replay_snapshot(&noise);
     let _ = replay_snapshot(&pristine);
-    (last, pristine)
+    let last = inputs.last().map_or("snap-ok", |(class, _)| *class);
+    (last, inputs)
 }
 
 /// Replays a JSON-target input. Returns `json-ok` / `json-err`; never

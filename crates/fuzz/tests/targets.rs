@@ -72,8 +72,8 @@ fn snapshot_sweep_never_panics() {
     let base = seed_base();
     let mut hist: BTreeMap<&'static str, u64> = BTreeMap::new();
     for i in 0..seed_count() {
-        let (class, pristine) = targets::run_snapshot(base + i);
-        assert!(!pristine.is_empty());
+        let (class, inputs) = targets::run_snapshot(base + i);
+        assert!(!inputs[0].1.is_empty(), "the pristine blob comes first");
         *hist.entry(class).or_default() += 1;
     }
     // Structure-aware cases must reach restore's validation, or it is
@@ -85,6 +85,34 @@ fn snapshot_sweep_never_panics() {
             "no corruption reached Chip::restore's validation: {hist:?}"
         );
     }
+}
+
+#[test]
+fn snapshot_harvest_keeps_the_classified_inputs() {
+    // The corpus harvest keeps what the sweep itself classified, so a
+    // restore-side rejection the histogram counts reaches the corpus.
+    let base = seed_base();
+    let mut hist: BTreeMap<&'static str, u64> = BTreeMap::new();
+    let mut seen = BTreeMap::new();
+    for seed in base..base + 32 {
+        *hist
+            .entry(corpus::harvest_snapshot(seed, &mut seen))
+            .or_default() += 1;
+    }
+    if hist.contains_key("snap-restore-err") {
+        let blob = seen
+            .get("snap-restore-err")
+            .unwrap_or_else(|| panic!("no snap-restore-err input harvested: {hist:?}"));
+        assert_ne!(
+            targets::replay_snapshot(blob),
+            "snap-err",
+            "a restore-side case decodes"
+        );
+    }
+    assert!(
+        seen.contains_key("snap-ok"),
+        "the pristine blob is harvested"
+    );
 }
 
 #[test]

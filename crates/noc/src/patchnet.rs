@@ -10,7 +10,6 @@
 //! the configuration-register encoding.
 
 use crate::{TileId, Topology};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Ports of an inter-patch NoC switch (6 inputs x 6 outputs).
@@ -233,7 +232,9 @@ impl SwitchConfig {
 }
 
 /// The whole inter-patch network: one statically configured switch per
-/// tile.
+/// tile, plus the circuits reserved on it. A chip holds one circuit per
+/// fused pair — a handful — so [`PatchNet::circuit`] scans them in
+/// reservation order; there is no index to keep in step.
 ///
 /// ```
 /// use stitch_noc::{PatchNet, TileId};
@@ -248,7 +249,6 @@ pub struct PatchNet {
     topo: Topology,
     switches: Vec<SwitchConfig>,
     circuits: Vec<Circuit>,
-    lookup: HashMap<(TileId, TileId), usize>,
 }
 
 impl PatchNet {
@@ -259,7 +259,6 @@ impl PatchNet {
             topo,
             switches: vec![SwitchConfig::default(); topo.tiles()],
             circuits: Vec::new(),
-            lookup: HashMap::new(),
         }
     }
 
@@ -390,15 +389,18 @@ impl PatchNet {
             tiles: path,
             hops,
         };
-        self.lookup.insert((from, to), self.circuits.len());
         self.circuits.push(circuit.clone());
         Ok(circuit)
     }
 
-    /// Looks up a previously reserved circuit.
+    /// Looks up a previously reserved circuit (the latest, should a raw
+    /// `cfgxbar` write have freed its endpoints for a second one).
     #[must_use]
     pub fn circuit(&self, from: TileId, to: TileId) -> Option<&Circuit> {
-        self.lookup.get(&(from, to)).map(|&i| &self.circuits[i])
+        self.circuits
+            .iter()
+            .rev()
+            .find(|c| c.from == from && c.to == to)
     }
 
     /// All reserved circuits.
@@ -413,12 +415,10 @@ impl PatchNet {
             *sw = SwitchConfig::default();
         }
         self.circuits.clear();
-        self.lookup.clear();
     }
 
     /// Captures switch configurations (packed register format) and the
-    /// reserved circuits. The `(from, to)` lookup table is derivable and
-    /// rebuilt on restore.
+    /// reserved circuits.
     #[must_use]
     pub fn snapshot(&self) -> PatchNetSnapshot {
         PatchNetSnapshot {
@@ -453,10 +453,12 @@ impl PatchNet {
         for &w in &snap.switches {
             switches.push(SwitchConfig::unpack(w)?);
         }
-        let mut lookup = HashMap::with_capacity(snap.circuits.len());
         for (i, c) in snap.circuits.iter().enumerate() {
             circuit_shape(self.topo, c)?;
-            if lookup.insert((c.from, c.to), i).is_some() {
+            // Only `tiles * (tiles - 1)` endpoint pairs exist, so this
+            // scan meets a duplicate within that many circuits.
+            let earlier = &snap.circuits[..i];
+            if earlier.iter().any(|e| (e.from, e.to) == (c.from, c.to)) {
                 return Err(PatchNetError::MalformedCircuit {
                     from: c.from,
                     to: c.to,
@@ -466,7 +468,6 @@ impl PatchNet {
         }
         self.switches = switches;
         self.circuits = snap.circuits.clone();
-        self.lookup = lookup;
         Ok(())
     }
 
@@ -740,9 +741,17 @@ mod tests {
     #[test]
     fn circuit_lookup() {
         let mut net = PatchNet::new_4x4();
-        net.reserve(TileId(2), TileId(10)).unwrap();
-        assert!(net.circuit(TileId(2), TileId(10)).is_some());
+        let pairs = [(2, 10), (1, 9), (4, 6), (12, 15)];
+        let reserved: Vec<Circuit> = pairs
+            .iter()
+            .map(|&(a, b)| net.reserve(TileId(a), TileId(b)).unwrap())
+            .collect();
+        for (&(a, b), c) in pairs.iter().zip(&reserved) {
+            assert_eq!(net.circuit(TileId(a), TileId(b)), Some(c));
+        }
+        // Direction matters, and a pair never reserved is absent.
         assert!(net.circuit(TileId(10), TileId(2)).is_none());
+        assert!(net.circuit(TileId(0), TileId(15)).is_none());
     }
 
     #[test]
@@ -783,7 +792,7 @@ mod tests {
         for t in 0..16u8 {
             assert_eq!(replica.switch(TileId(t)), net.switch(TileId(t)));
         }
-        // The rebuilt lookup works.
+        // Restored circuits are found again.
         assert!(replica.circuit(TileId(1), TileId(9)).is_some());
         // And contention is still detected after restore.
         assert!(replica.reserve(TileId(1), TileId(13)).is_err());
@@ -800,6 +809,40 @@ mod tests {
             net.restore(&snap),
             Err(PatchNetError::BadTile { .. })
         ));
+    }
+
+    #[test]
+    fn restore_rejects_duplicate_endpoint_pair() {
+        let mut donor = PatchNet::new_4x4();
+        donor.reserve(TileId(2), TileId(10)).unwrap();
+        donor.reserve(TileId(1), TileId(9)).unwrap();
+        let mut snap = donor.snapshot();
+        let again = snap.circuits[1].clone();
+        snap.circuits.push(again);
+
+        let mut net = PatchNet::new_4x4();
+        net.reserve(TileId(4), TileId(6)).unwrap();
+        let before = net.snapshot();
+        assert_eq!(
+            net.restore(&snap),
+            Err(PatchNetError::MalformedCircuit {
+                from: TileId(1),
+                to: TileId(9),
+                detail: "duplicate circuit for the same endpoint pair",
+            })
+        );
+        // Rejected before any state was replaced.
+        assert_eq!(net.snapshot(), before);
+        // The same pair in the other direction is a different circuit.
+        snap.circuits.pop();
+        snap.circuits.push(Circuit {
+            from: TileId(9),
+            to: TileId(1),
+            tiles: vec![TileId(9), TileId(5), TileId(1)],
+            hops: 2,
+        });
+        net.restore(&snap).unwrap();
+        assert_eq!(net.circuits().len(), 3);
     }
 
     #[test]

@@ -56,6 +56,19 @@ impl CiBinding {
     }
 }
 
+/// Index of `ci`'s entry in a tile's binding table (sorted by CI id),
+/// shared by the interpreter and translated windows. The compiler
+/// numbers a program's custom instructions `0..n`, so entry `ci` is
+/// probed first; hand-built tables with gaps fall back to a binary
+/// search.
+fn binding_slot(bindings: &[(u16, CiBinding)], ci: CiId) -> Option<usize> {
+    let at = usize::from(ci.0);
+    match bindings.get(at) {
+        Some((id, _)) if *id == ci.0 => Some(at),
+        _ => bindings.binary_search_by_key(&ci.0, |(id, _)| *id).ok(),
+    }
+}
+
 /// Simulator errors.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
@@ -433,8 +446,8 @@ struct TilePlatform<'a> {
     tile: TileId,
     cycle: u64,
     mem: &'a mut TileMemory,
-    /// Sorted `(ci, binding)` pairs — tables hold a handful of entries,
-    /// so a linear scan beats hashing on every custom instruction.
+    /// `(ci, binding)` pairs sorted by CI id, looked up with
+    /// [`binding_slot`].
     bindings: &'a [(u16, CiBinding)],
     mesh: &'a mut Mesh,
     patchnet: &'a mut PatchNet,
@@ -497,11 +510,8 @@ impl Platform for TilePlatform<'_> {
     }
 
     fn exec_custom(&mut self, ci: CiId, inputs: [u32; 4]) -> Result<CustomOutcome, CpuError> {
-        let binding = self
-            .bindings
-            .iter()
-            .find_map(|(id, b)| (*id == ci.0).then_some(b))
-            .ok_or(CpuError::UnboundCustom(ci))?;
+        let slot = binding_slot(self.bindings, ci).ok_or(CpuError::UnboundCustom(ci))?;
+        let binding = &self.bindings[slot].1;
         let (cycle, tile) = (self.cycle, self.tile.0);
         let mut extra = 0;
         let mut rung = Rung::Healthy;
@@ -515,7 +525,7 @@ impl Platform for TilePlatform<'_> {
                 }
                 extra += scrubbed;
             }
-            rung = f.rung(
+            (rung, _) = f.rung(
                 self.tile,
                 ci,
                 binding,
@@ -624,14 +634,21 @@ impl Platform for TilePlatform<'_> {
 ///
 /// Windows only run while tracing is off, so no trace event is ever due
 /// here. Custom instructions run on the rungs [`Rung::inline`] accepts,
-/// read per activation at its own start cycle; a pending config scrub or
+/// as of each activation's own start cycle; a pending config scrub or
 /// any other rung side-exits to the interpreter before the I-fetch, as
 /// does a crossbar-config store.
 struct WindowHost<'a> {
     tile: TileId,
     mem: &'a mut TileMemory,
-    /// Sorted `(ci, binding)` pairs, same table the interpreter scans.
+    /// The interpreter's binding table, looked up with [`binding_slot`].
     bindings: &'a [(u16, CiBinding)],
+    /// Per binding slot: the rung [`FaultRuntime::rung`] last decided
+    /// in this window and the cycle it holds until. Reset to "expired"
+    /// at the lane's window start — fault state changes between windows
+    /// through events, scrubs, watchdog trips and rollbacks, but inside
+    /// one only through commutative counters — so an activation before
+    /// the horizon reuses the rung instead of deciding it again.
+    rungs: &'a mut [(Rung, u64)],
     activations: &'a mut [u64],
     faults: Option<&'a mut FaultRuntime>,
     /// [`Chip::rollback_armed`] for this window.
@@ -667,6 +684,31 @@ impl WindowHost<'_> {
             self.fetch_hits = 0;
         }
     }
+
+    /// Decides the rung of binding `slot` at `t` and remembers it until
+    /// its horizon; `None` when a config scrub is pending. Only a memo
+    /// miss gets here, and a hit never needs the scrub check: the miss
+    /// that filled the slot found no scrub pending, and pending scrubs
+    /// are constant within a window.
+    #[cold]
+    #[inline(never)]
+    fn decide_rung(&mut self, slot: usize, ci: CiId, t: u64) -> Option<Rung> {
+        let f = self.faults.as_deref()?;
+        let binding = &self.bindings[slot].1;
+        if f.scrub_pending(self.tile, binding) {
+            return None;
+        }
+        let memo = f.rung(
+            self.tile,
+            ci,
+            binding,
+            self.patchnet,
+            t,
+            self.rollback_armed,
+        );
+        self.rungs[slot] = memo;
+        Some(memo.0)
+    }
 }
 
 impl<'a> LaneHost for WindowHost<'a> {
@@ -699,23 +741,20 @@ impl<'a> LaneHost for WindowHost<'a> {
 
     type Custom = (&'a CiBinding, Rung);
 
-    fn prepare_custom(&self, ci: CiId, t: u64) -> Option<Self::Custom> {
-        let binding = self
-            .bindings
-            .iter()
-            .find_map(|(id, b)| (*id == ci.0).then_some(b))?;
-        let rung = match self.faults.as_deref() {
-            None => Rung::Healthy,
-            Some(f) if f.scrub_pending(self.tile, binding) => return None,
-            Some(f) => f.rung(
-                self.tile,
-                ci,
-                binding,
-                self.patchnet,
-                t,
-                self.rollback_armed,
-            ),
-        };
+    #[inline]
+    fn prepare_custom(&mut self, ci: CiId, t: u64) -> Option<Self::Custom> {
+        let bindings: &'a [(u16, CiBinding)] = self.bindings;
+        let slot = binding_slot(bindings, ci)?;
+        let binding = &bindings[slot].1;
+        if self.faults.is_none() {
+            return Some((binding, Rung::Healthy));
+        }
+        // Lane cycles only grow, so a rung decided earlier in this window
+        // still holds before its horizon.
+        let (mut rung, until) = self.rungs[slot];
+        if t >= until {
+            rung = self.decide_rung(slot, ci, t)?;
+        }
         rung.inline().then_some((binding, rung))
     }
 
@@ -760,6 +799,9 @@ pub struct Chip {
     cores: Vec<Option<Core>>,
     mems: Vec<TileMemory>,
     bindings: Vec<Vec<(u16, CiBinding)>>,
+    /// Per tile, one window rung memo slot per binding (see
+    /// `WindowHost::rungs`); sized at load, reset at each window start.
+    rungs: Vec<Vec<(Rung, u64)>>,
     busy_until: Vec<u64>,
     waiting_on: Vec<Option<u32>>,
     mesh: Mesh,
@@ -823,6 +865,7 @@ impl Chip {
             mems: (0..n).map(|_| TileMemory::new(cfg.tile_mem)).collect(),
             cores: (0..n).map(|_| None).collect(),
             bindings: vec![Vec::new(); n],
+            rungs: vec![Vec::new(); n],
             busy_until: vec![0; n],
             waiting_on: vec![None; n],
             mesh: Mesh::new(MeshConfig {
@@ -1324,6 +1367,7 @@ impl Chip {
         self.live += 1;
         let mut table: Vec<(u16, CiBinding)> = bindings.into_iter().collect();
         table.sort_by_key(|(id, _)| *id);
+        self.rungs[i] = vec![(Rung::Healthy, 0); table.len()];
         self.bindings[i] = table;
         self.busy_until[i] = self.cycle;
         self.next_wake = 0; // stale until the next tick
@@ -1552,22 +1596,10 @@ impl Chip {
                 tile: kind.tile().0,
                 kind: kind.trace_code(),
             });
-            // Overlapping transient faults accumulate to the latest
-            // recovery cycle.
-            match kind {
-                FaultKind::PatchFail { tile, until } => {
-                    let slot = &mut f.patch_down_until[tile.index()];
-                    *slot = (*slot).max(until.unwrap_or(u64::MAX));
-                }
-                FaultKind::SwitchFail { tile, until } => {
-                    let slot = &mut f.switch_down_until[tile.index()];
-                    *slot = (*slot).max(until.unwrap_or(u64::MAX));
-                }
-                FaultKind::ConfigUpset { tile } => f.config_upset[tile.index()] = true,
-                FaultKind::MeshLinkFail { tile, dir, until } => {
-                    self.mesh
-                        .set_link_fault(tile, dir, until.unwrap_or(u64::MAX));
-                }
+            f.apply(&kind);
+            if let FaultKind::MeshLinkFail { tile, dir, until } = kind {
+                self.mesh
+                    .set_link_fault(tile, dir, until.unwrap_or(u64::MAX));
             }
         }
     }
@@ -1831,10 +1863,13 @@ impl Chip {
                 continue;
             }
             let line_shift = self.mems[i].config().icache.block_bytes.trailing_zeros();
+            let rungs = &mut self.rungs[i];
+            rungs.fill((Rung::Healthy, 0));
             let mut host = WindowHost {
                 tile: TileId(i as u8),
                 mem: &mut self.mems[i],
                 bindings: &self.bindings[i],
+                rungs,
                 activations: &mut self.activations,
                 faults: self.faults.as_mut(),
                 rollback_armed,
@@ -2797,6 +2832,48 @@ mod tests {
             assert_eq!(s.tiles[1].patch_activations, 40 - demoted);
             assert!(interpreted_instrs(&chip, &s) < s.total_custom());
         }
+    }
+
+    /// Runs the fused loop under one transient `fault` that recovers at
+    /// `recovery`, mid-loop, on all three engines: the first activation
+    /// trips the watchdog, later ones demote until the recovery cycle and
+    /// fuse after it. Fewer interpreted instructions than either count
+    /// means windows retired customs on both sides of the recovery.
+    fn fused_recovery_inside_a_window(fault: FaultKind, recovery: u64) {
+        let plan = FaultPlan::new(11).with(0, fault);
+        let (chip, s) = three_engines(|| ci_loop_chip(true, 40, plan.clone()));
+        let s = s.unwrap();
+        let stats = chip.fault_stats();
+        assert_eq!(stats.watchdog_trips, 1);
+        assert_eq!(stats.demotions, s.total_demoted());
+        assert_eq!(s.total_fused() + stats.demotions, 40);
+        assert!(chip.cycle() > recovery);
+        let interpreted = interpreted_instrs(&chip, &s);
+        assert!(
+            interpreted < stats.demotions.min(s.total_fused()),
+            "{interpreted} interpreted, {} demoted, {} fused",
+            stats.demotions,
+            s.total_fused()
+        );
+    }
+
+    #[test]
+    fn transient_mid_path_switch_recovery_inside_a_window_matches_every_engine() {
+        // Tile 5's switch is the bypass hop of the 1 -> 9 circuit.
+        let fault = FaultKind::SwitchFail {
+            tile: TileId(5),
+            until: Some(200),
+        };
+        fused_recovery_inside_a_window(fault, 200);
+    }
+
+    #[test]
+    fn transient_partner_patch_recovery_inside_a_window_matches_every_engine() {
+        let fault = FaultKind::PatchFail {
+            tile: TileId(9),
+            until: Some(200),
+        };
+        fused_recovery_inside_a_window(fault, 200);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! half of the degradation ladder is decided in one place,
 //! [`FaultRuntime::rung`], which both the interpreter
 //! (`TilePlatform::exec_custom` in [`crate::chip`]) and translated
-//! windows read; link faults are handled by the mesh stall probe.
+//! windows read — the interpreter per activation, a window once per
+//! binding until the rung's horizon; link faults are handled by the mesh
+//! stall probe.
 //!
 //! The ladder's topmost rung — checkpoint rollback for *transient*
 //! faults — also keeps its runtime state here: per-component mask
@@ -21,7 +23,7 @@ use crate::snapshot::FaultRuntimeSnapshot;
 use crate::TileId;
 use std::collections::HashSet;
 use stitch_cpu::PatchFaultKind;
-use stitch_fault::FaultPlan;
+use stitch_fault::{FaultKind, FaultPlan};
 use stitch_isa::custom::CiId;
 use stitch_noc::PatchNet;
 
@@ -162,18 +164,38 @@ impl FaultRuntime {
         self.plan.events().get(self.next).map(|e| e.cycle)
     }
 
+    /// Applies one plan event to the patches, switches and
+    /// configurations; overlapping transient faults accumulate to the
+    /// latest recovery cycle. Mesh link faults belong to the mesh and are
+    /// left to the caller.
+    pub fn apply(&mut self, kind: &FaultKind) {
+        match *kind {
+            FaultKind::PatchFail { tile, until } => {
+                let slot = &mut self.patch_down_until[tile.index()];
+                *slot = (*slot).max(until.unwrap_or(u64::MAX));
+            }
+            FaultKind::SwitchFail { tile, until } => {
+                let slot = &mut self.switch_down_until[tile.index()];
+                *slot = (*slot).max(until.unwrap_or(u64::MAX));
+            }
+            FaultKind::ConfigUpset { tile } => self.config_upset[tile.index()] = true,
+            FaultKind::MeshLinkFail { .. } => {}
+        }
+    }
+
     /// Whether `tile`'s patch datapath is down at `cycle`. A rollback
     /// mask overrides the fault: during a masked replay the patch reads
     /// healthy.
     pub fn patch_down(&self, tile: TileId, cycle: u64) -> bool {
-        self.patch_down_until[tile.index()] > cycle && self.patch_mask_until[tile.index()] <= cycle
+        let i = tile.index();
+        down(self.patch_down_until[i], self.patch_mask_until[i], cycle)
     }
 
     /// Whether `tile`'s inter-patch switch is down at `cycle` (mask-aware
     /// like [`FaultRuntime::patch_down`]).
     pub fn switch_down(&self, tile: TileId, cycle: u64) -> bool {
-        self.switch_down_until[tile.index()] > cycle
-            && self.switch_mask_until[tile.index()] <= cycle
+        let i = tile.index();
+        down(self.switch_down_until[i], self.switch_mask_until[i], cycle)
     }
 
     /// Whether an activation of `binding` on `tile` would scrub a
@@ -201,14 +223,22 @@ impl FaultRuntime {
     }
 
     /// The ladder rung an activation of `binding` on `tile` takes at
-    /// `cycle`. The one ladder decision both engines read:
-    /// `TilePlatform::exec_custom` acts on every rung, a translated
-    /// window retires the rungs [`Rung::inline`] accepts and side-exits
-    /// the rest. Config scrubs are not rungs — they are consumed (or, in
-    /// a window, side-exited on) before the rung is read.
+    /// `cycle`, and its horizon: the first cycle after `cycle` at which a
+    /// fault deadline or rollback mask the decision read expires
+    /// (`u64::MAX` when none will). The one ladder decision both engines
+    /// read: `TilePlatform::exec_custom` acts on every rung and ignores
+    /// the horizon; a translated window retires the rungs
+    /// [`Rung::inline`] accepts, side-exits the rest, and reuses the rung
+    /// for the binding's later activations before the horizon. Config
+    /// scrubs are not rungs — they are consumed (or, in a window,
+    /// side-exited on) before the rung is read.
     /// A transient fault rolls back only while `rollback_armed`: the chip
     /// holds a checkpoint and retry budget, so a queued rollback request
     /// is always serviceable.
+    ///
+    /// Only plan events, rollbacks and first watchdog trips change the
+    /// rest of what this reads, and none of those happens inside a
+    /// window, so the rung is constant on `[cycle, until)` there.
     pub fn rung(
         &self,
         tile: TileId,
@@ -217,18 +247,39 @@ impl FaultRuntime {
         patchnet: &PatchNet,
         cycle: u64,
         rollback_armed: bool,
-    ) -> Rung {
-        let (kind, transient) = if self.patch_down(tile, cycle) {
-            let transient = self.patch_down_until[tile.index()] != u64::MAX;
+    ) -> (Rung, u64) {
+        let mut until = u64::MAX;
+        let local = tile.index();
+        let (kind, transient) = if down_at(
+            self.patch_down_until[local],
+            self.patch_mask_until[local],
+            cycle,
+            &mut until,
+        ) {
+            let transient = self.patch_down_until[local] != u64::MAX;
             (PatchFaultKind::PatchDead, transient)
         } else if let Some(partner) = binding.partner() {
             match patchnet.circuit(tile, partner) {
                 Some(c) => {
-                    let mut blockers = self.circuit_blockers(partner, &c.tiles, cycle).peekable();
-                    if blockers.peek().is_none() {
-                        return Rung::Healthy;
+                    // The partner patch and every switch on the path are
+                    // read, down or not: which of them block decides both
+                    // the rung and whether a rollback could mask it.
+                    let (mut blocked, mut transient) = (false, true);
+                    let mut read = |down_until: u64, mask_until: u64| {
+                        if down_at(down_until, mask_until, cycle, &mut until) {
+                            blocked = true;
+                            transient &= down_until != u64::MAX;
+                        }
+                    };
+                    let p = partner.index();
+                    read(self.patch_down_until[p], self.patch_mask_until[p]);
+                    for t in &c.tiles {
+                        let s = t.index();
+                        read(self.switch_down_until[s], self.switch_mask_until[s]);
                     }
-                    let transient = blockers.all(|m| m.until != u64::MAX);
+                    if !blocked {
+                        return (Rung::Healthy, until);
+                    }
                     (PatchFaultKind::CircuitDead, transient)
                 }
                 // Bindings are validated at load time, so the circuit
@@ -237,9 +288,9 @@ impl FaultRuntime {
                 None => (PatchFaultKind::CircuitDead, false),
             }
         } else {
-            return Rung::Healthy;
+            return (Rung::Healthy, until);
         };
-        if !self.plan.degrade() {
+        let rung = if !self.plan.degrade() {
             Rung::Faulted(kind)
         } else if rollback_armed && transient {
             // Masking a permanent blocker would replay into the same
@@ -251,7 +302,8 @@ impl FaultRuntime {
             Rung::LocalOnly {
                 first_trip: !self.watchdog_tripped.contains(&(tile.0, ci.0)),
             }
-        }
+        };
+        (rung, until)
     }
 
     /// Queues the masks for a [`Rung::Rollback`] decided by
@@ -336,6 +388,130 @@ impl FaultRuntime {
             watchdog_tripped: snap.watchdog_tripped.iter().copied().collect(),
             stats: snap.stats,
             pending_masks: Vec::new(),
+        }
+    }
+}
+
+/// Whether a component with fault deadline `down_until` and rollback
+/// mask `mask_until` is down at `cycle`: faulted and not masked.
+fn down(down_until: u64, mask_until: u64, cycle: u64) -> bool {
+    down_until > cycle && mask_until <= cycle
+}
+
+/// [`down`], also lowering `until` to the first cycle after `cycle` at
+/// which the answer can change — the component's next deadline or mask
+/// expiry.
+fn down_at(down_until: u64, mask_until: u64, cycle: u64, until: &mut u64) -> bool {
+    for edge in [down_until, mask_until] {
+        if edge > cycle {
+            *until = (*until).min(edge);
+        }
+    }
+    down(down_until, mask_until, cycle)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use stitch_fault::{FaultSpace, SimRng};
+    use stitch_patch::{AtAsControl, ControlWord};
+
+    /// First seed of the horizon property: the fault harness's
+    /// `STITCH_FAULT_SEED_BASE`, so one randomized batch covers both.
+    fn seed_base() -> u64 {
+        std::env::var("STITCH_FAULT_SEED_BASE")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0xFA_17_00)
+    }
+
+    /// A random runtime state over tiles 0..10: every event of a random
+    /// compute-only plan applied, a few random rollback masks, sometimes
+    /// a tripped watchdog, and strict mode one time in four.
+    fn random_runtime(seed: u64) -> FaultRuntime {
+        let space = FaultSpace {
+            tiles: 10,
+            horizon: 2_000,
+            max_events: 6,
+            allow_transient: true,
+            ..FaultSpace::default()
+        }
+        .compute_only();
+        let mut rng = SimRng::new(seed ^ 0x5EED_0F4A);
+        let mut plan = FaultPlan::random(seed, &space);
+        if rng.chance(1, 4) {
+            plan = plan.strict();
+        }
+        let mut f = FaultRuntime::new(plan.clone(), 16);
+        for ev in plan.events() {
+            f.apply(&ev.kind);
+        }
+        for _ in 0..rng.index(5) {
+            let tile = rng.index(10);
+            let until = rng.below(6_000);
+            if rng.chance(1, 2) {
+                f.patch_mask_until[tile] = until;
+            } else {
+                f.switch_mask_until[tile] = until;
+            }
+        }
+        if rng.chance(1, 2) {
+            f.watchdog_tripped.insert((1, 1));
+        }
+        f
+    }
+
+    #[test]
+    fn rung_holds_until_its_horizon() {
+        let mut net = PatchNet::new_4x4();
+        let path = net.reserve(TileId(1), TileId(9)).unwrap().tiles;
+        let control = ControlWord::AtAs(AtAsControl::default());
+        let single = CiBinding::Single {
+            control: control.clone(),
+        };
+        let fused = CiBinding::Fused {
+            first: control.clone(),
+            partner: TileId(9),
+            second: control,
+        };
+        let plans = std::env::var("STITCH_FAULT_PLANS")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(100u64);
+        let base = seed_base();
+        for seed in base..base + plans {
+            let f = random_runtime(seed);
+            let armed = seed % 2 == 0;
+            for (ci, binding) in [(CiId(0), &single), (CiId(1), &fused)] {
+                // Every deadline and mask of a component the rung reads.
+                let mut edges = vec![f.patch_down_until[1], f.patch_mask_until[1]];
+                if binding.partner().is_some() {
+                    edges.extend([f.patch_down_until[9], f.patch_mask_until[9]]);
+                    for t in &path {
+                        edges.push(f.switch_down_until[t.index()]);
+                        edges.push(f.switch_mask_until[t.index()]);
+                    }
+                }
+                // Probe at, just before and well before each edge, plus
+                // a few arbitrary cycles.
+                let mut probes = vec![0, 1_000, 5_000, 9_000];
+                for &e in edges.iter().filter(|&&e| e != u64::MAX) {
+                    probes.extend([e, e.saturating_sub(1), e.saturating_sub(300)]);
+                }
+                for t in probes {
+                    let (rung, until) = f.rung(TileId(1), ci, binding, &net, t, armed);
+                    let at = format!("seed {seed}, ci {}, cycle {t}", ci.0);
+                    assert!(until > t, "{at}: horizon {until} not after the cycle");
+                    assert!(
+                        until == u64::MAX || edges.contains(&until),
+                        "{at}: horizon {until} is no component's deadline or mask"
+                    );
+                    for later in t..until.min(t + 512) {
+                        let (again, _) = f.rung(TileId(1), ci, binding, &net, later, armed);
+                        assert_eq!(again, rung, "{at}: rung changed at {later} < {until}");
+                    }
+                }
+            }
         }
     }
 }
