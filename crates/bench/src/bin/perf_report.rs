@@ -202,7 +202,7 @@ fn main() {
         batched as f64 / sim_cycles as f64
     };
     println!(
-        "translation: {blocks} blocks lowered, {cache_hits} cache hits, \
+        "translation: {blocks} entry pcs, {cache_hits} repeated entries, \
          {uops} instructions translated, {:.1}% of cycles batched",
         batched_fraction * 100.0
     );

@@ -248,8 +248,10 @@ impl Core {
     }
 
     /// Restores a previously captured snapshot. The program text is left
-    /// untouched; a snapshot whose `pc` does not fit the current text
-    /// surfaces as a typed [`CpuError::PcOutOfRange`] on the next step.
+    /// untouched and the pc is not checked against it: a pc past the
+    /// text faults with a typed [`CpuError::PcOutOfRange`] on the next
+    /// [`Core::step`], but a caller that treats the core as parked in
+    /// `recv` must first check [`Core::recv_at`] (`Chip::restore` does).
     pub fn restore(&mut self, snap: &CoreSnapshot) {
         self.arch.clone_from(snap);
     }
@@ -261,6 +263,13 @@ impl Core {
         self.text.instrs.len()
     }
 
+    /// True when instruction `pc` of the text is a `recv` — the only
+    /// instruction a core can wait on.
+    #[must_use]
+    pub fn recv_at(&self, pc: u32) -> bool {
+        matches!(self.text.instrs.get(pc as usize), Some(Instr::Recv { .. }))
+    }
+
     /// Byte address and word count of the instruction the core is parked
     /// on. Used by the simulator's fast path to batch the instruction
     /// re-fetches of a polling `recv`.
@@ -269,7 +278,7 @@ impl Core {
         let pc = self.arch.pc as usize;
         let instr = &self.text.instrs[pc];
         debug_assert!(
-            matches!(instr, Instr::Recv { .. }),
+            self.recv_at(self.arch.pc),
             "poll footprint of a non-recv instruction"
         );
         (TEXT_BASE + self.text.word_offsets[pc] * 4, instr.words())

@@ -25,6 +25,8 @@
 pub mod core;
 pub mod stats;
 pub mod translate;
+#[cfg(test)]
+mod uop;
 
 pub use crate::core::{Core, CoreSnapshot, CoreState, CustomOutcome, Platform, StepOutcome};
 pub use stats::CoreStats;

@@ -1,14 +1,14 @@
-//! Translated execution: the threaded-code micro-op engine.
+//! Translated execution: the window engine.
 //!
 //! [`Core::step`] interprets one [`stitch_isa::Instr`] per call — exact,
-//! but it re-matches the instruction tree and pays platform-dispatch
-//! overhead on every retired instruction. This module executes whole
-//! *compute windows* instead: stretches where the chip has proven no
-//! chip-level event (message delivery, fault injection, checkpoint,
-//! deadline) can land. Within a window the core runs from a per-core
-//! [`TransCache`] — its program lowered once into one [`UOp`] per
-//! instruction — on a stack-local copy of the core's register file that
-//! is committed back when the window ends.
+//! but it pays platform dispatch and per-step bookkeeping on every
+//! retired instruction. This module executes whole *compute windows*
+//! instead: stretches where the chip has proven no chip-level event
+//! (message delivery, fault injection, checkpoint, deadline) can land.
+//! Within a window the core dispatches straight on its decoded text
+//! (`instrs[pc]`, fetched at `word_offsets[pc]`) on a stack-local copy
+//! of its register file that is committed back when the window ends; a
+//! per-core [`TransCache`] only records which pcs windows entered.
 //!
 //! Every instruction, jumps included, takes one path through the
 //! window's dispatch loop: horizon check, side-exit check, I-fetch
@@ -27,7 +27,8 @@
 //!
 //! - `send` / `recv` / `halt` (NIC traffic and liveness are chip events),
 //! - a pc at or past the end of the text (architectural fault),
-//! - statically out-of-range `jal`/branch targets (lowering decides),
+//! - a `branch` or `jal` whose static target lies past the text, taken
+//!   or not (the interpreter faults on it),
 //! - `jalr` whose runtime target is out of range (fault with partial
 //!   effects only the interpreter replays exactly),
 //! - stores into the crossbar-config window (chip reconfiguration),
@@ -41,14 +42,13 @@
 //! cycle of the *next unexecuted* instruction, which is exactly the
 //! `busy_until` value the chip's tick loop would have converged to.
 
-use crate::core::{Core, CustomOutcome, TEXT_BASE};
+use crate::core::{Core, CustomOutcome, TextImage, TEXT_BASE};
 use crate::stats::CoreStats;
 use crate::{BRANCH_PENALTY, MUL_LATENCY};
 use stitch_isa::custom::CiId;
-use stitch_isa::instr::Width;
+use stitch_isa::instr::{Instr, Operand, Width};
 use stitch_isa::op::{AluOp, OpClass};
 use stitch_isa::reg::Reg;
-use stitch_isa::uop::{lower_program, UOp, UOpSlot};
 
 /// Services a compute window needs from the chip. A deliberately smaller
 /// surface than [`crate::Platform`]: no NIC, and custom execution is
@@ -86,16 +86,15 @@ pub trait LaneHost {
     fn exec_custom(&mut self, custom: Self::Custom, inputs: [u32; 4]) -> CustomOutcome;
 }
 
-/// Per-core translation of the loaded program: one lowered micro-op per
-/// instruction, indexed by pc, so dispatch on the hot path is one
-/// bounds-checked slice read. The table belongs to the *loaded program*:
-/// the chip clears it whenever a tile's program is swapped, and the next
-/// window lowers the new text.
+/// Per-core window bookkeeping for the loaded program: which pcs
+/// windows entered, and two lifetime counters. The windows themselves
+/// read the core's decoded text, so nothing here can go stale but the
+/// entry bitmap, which the chip clears whenever a tile's program is
+/// swapped.
 #[derive(Debug, Clone, Default)]
 pub struct TransCache {
-    /// `uops[pc]` models the instruction at `pc` (empty until first use).
-    uops: Vec<UOpSlot>,
-    /// `entered[pc]`: a window started, or a jump landed, at `pc`.
+    /// `entered[pc]`: a window started, or a jump landed, at `pc`
+    /// (empty until the first window after a program load).
     entered: Vec<bool>,
     /// Distinct entry pcs over the cache's lifetime.
     pub translated: u64,
@@ -110,10 +109,9 @@ impl TransCache {
         Self::default()
     }
 
-    /// Drops the translation (program swap). Counters survive — they
+    /// Forgets the entry pcs (program swap). Counters survive — they
     /// describe the cache's lifetime, not one program.
     pub fn invalidate(&mut self) {
-        self.uops.clear();
         self.entered.clear();
     }
 
@@ -204,12 +202,12 @@ fn alu_cycles(op: AluOp, stats: &mut CoreStats) -> u32 {
 impl Core {
     /// Runs this core's lane through one compute window.
     ///
-    /// Executes translated micro-ops from `cache` starting at the
-    /// current pc, first instruction starting at `p.start`, stopping
-    /// when the next instruction would start past `p.horizon` or at a
-    /// side exit (see the module docs for the exact rules). The window
-    /// works on a stack-local copy of the registers; pc, registers, and
-    /// statistics are committed back to the core on return.
+    /// Executes the decoded text starting at the current pc, first
+    /// instruction starting at `p.start`, stopping when the next
+    /// instruction would start past `p.horizon` or at a side exit (see
+    /// the module docs for the exact rules). The window works on a
+    /// stack-local copy of the registers; pc, registers, and statistics
+    /// are committed back to the core on return.
     ///
     /// The caller must only invoke this on a running, non-waiting core.
     pub fn run_translated<H: LaneHost>(
@@ -218,22 +216,15 @@ impl Core {
         host: &mut H,
         p: WindowParams,
     ) -> LaneRun {
-        let instrs = &self.text.instrs;
+        let TextImage {
+            instrs,
+            word_offsets,
+        } = &self.text;
         let arch = &mut self.arch;
-        if cache.uops.is_empty() {
-            cache.uops = lower_program(instrs);
+        let len = instrs.len() as u32;
+        if cache.entered.is_empty() {
             cache.entered = vec![false; instrs.len()];
         }
-        // Borrow the table as a plain slice once per window rather than
-        // indexing through `cache` on every instruction.
-        let TransCache {
-            uops,
-            entered,
-            translated,
-            hits,
-        } = cache;
-        let uops = uops.as_slice();
-        let len = uops.len() as u32;
         // A stack-local register copy: 128 contiguous bytes with
         // compile-time-bounded indices, committed back below.
         let mut regs = arch.regs;
@@ -249,50 +240,49 @@ impl Core {
             if t > p.horizon {
                 break;
             }
-            let Some(s) = uops.get(pc as usize) else {
+            let Some(instr) = instrs.get(pc as usize) else {
                 // The interpreter raises PcOutOfRange at cycle `t`.
                 side_exit = true;
                 break;
             };
             if entry {
                 entry = false;
-                if std::mem::replace(&mut entered[pc as usize], true) {
-                    *hits += 1;
+                if std::mem::replace(&mut cache.entered[pc as usize], true) {
+                    cache.hits += 1;
                 } else {
-                    *translated += 1;
+                    cache.translated += 1;
                 }
             }
-            let base = TEXT_BASE + s.off * 4;
+            let base = TEXT_BASE + word_offsets[pc as usize] * 4;
+            let words = instr.words();
             let mut next = pc + 1;
             // Each arm runs its side-exit check before the I-fetch, so
             // the interpreter replays a bounced instruction from scratch.
-            let cycles = match s.op {
-                UOp::Nop => fetch_charge(host, &mut stats, base, s.words) + 1,
-                UOp::AluRR { op, rd, rs1, rs2 } => {
-                    let fetch = fetch_charge(host, &mut stats, base, s.words);
-                    let value = op.eval(reg_get(&regs, rs1), reg_get(&regs, rs2));
+            let cycles = match *instr {
+                Instr::Nop => fetch_charge(host, &mut stats, base, words) + 1,
+                Instr::Alu { op, rd, rs1, src2 } => {
+                    let fetch = fetch_charge(host, &mut stats, base, words);
+                    let b = match src2 {
+                        Operand::Reg(rs2) => reg_get(&regs, rs2),
+                        Operand::Imm(imm) => imm as u32,
+                    };
+                    let value = op.eval(reg_get(&regs, rs1), b);
                     reg_set(&mut regs, rd, value);
                     fetch + alu_cycles(op, &mut stats)
                 }
-                UOp::AluRI { op, rd, rs1, imm } => {
-                    let fetch = fetch_charge(host, &mut stats, base, s.words);
-                    let value = op.eval(reg_get(&regs, rs1), imm as u32);
-                    reg_set(&mut regs, rd, value);
-                    fetch + alu_cycles(op, &mut stats)
-                }
-                UOp::Lui { rd, val } => {
-                    let fetch = fetch_charge(host, &mut stats, base, s.words);
-                    reg_set(&mut regs, rd, val);
+                Instr::Lui { rd, imm } => {
+                    let fetch = fetch_charge(host, &mut stats, base, words);
+                    reg_set(&mut regs, rd, imm << 12);
                     stats.alu_ops += 1;
                     fetch + 1
                 }
-                UOp::Load {
+                Instr::Load {
                     w,
                     rd,
                     base: rb,
                     offset,
                 } => {
-                    let fetch = fetch_charge(host, &mut stats, base, s.words);
+                    let fetch = fetch_charge(host, &mut stats, base, words);
                     let addr = reg_get(&regs, rb).wrapping_add_signed(offset);
                     let (value, lat) = host.load(addr, w);
                     reg_set(&mut regs, rd, value);
@@ -300,7 +290,7 @@ impl Core {
                     stats.mem_stall_cycles += u64::from(lat.saturating_sub(1));
                     fetch + lat
                 }
-                UOp::Store {
+                Instr::Store {
                     w,
                     rs,
                     base: rb,
@@ -312,32 +302,28 @@ impl Core {
                         side_exit = true;
                         break;
                     }
-                    let fetch = fetch_charge(host, &mut stats, base, s.words);
+                    let fetch = fetch_charge(host, &mut stats, base, words);
                     let lat = host.store(addr, reg_get(&regs, rs), w);
                     stats.mem_ops += 1;
                     stats.mem_stall_cycles += u64::from(lat.saturating_sub(1));
                     fetch + lat
                 }
-                UOp::Custom {
-                    id,
-                    ins,
-                    out0,
-                    out1,
-                } => {
+                Instr::Custom(ref ci) => {
                     // Decided at this instruction's own start cycle: a
                     // transient fault can recover inside a window, so its
                     // rung may change there.
-                    let Some(custom) = host.prepare_custom(id, t) else {
+                    let Some(custom) = host.prepare_custom(ci.ci, t) else {
                         side_exit = true;
                         break;
                     };
-                    let inputs = ins.map(|r| reg_get(&regs, r));
-                    let fetch = fetch_charge(host, &mut stats, base, s.words);
+                    let inputs = ci.input_slots().map(|r| reg_get(&regs, r));
+                    let fetch = fetch_charge(host, &mut stats, base, words);
                     let o = host.exec_custom(custom, inputs);
-                    if let Some(r) = out0 {
+                    let outs = ci.outputs();
+                    if let Some(&r) = outs.first() {
                         reg_set(&mut regs, r, o.out.out0);
                     }
-                    if let Some(r) = out1 {
+                    if let Some(&r) = outs.get(1) {
                         reg_set(&mut regs, r, o.out.out1);
                     }
                     stats.custom_ops += 1;
@@ -345,13 +331,16 @@ impl Core {
                     stats.demoted_ops += u64::from(o.demoted);
                     fetch + o.cycles.max(1)
                 }
-                UOp::Branch {
+                // A static target equal to `len` is legal (the *next*
+                // instruction faults with PcOutOfRange); past it the
+                // jump itself faults, taken or not, in the interpreter.
+                Instr::Branch {
                     cond,
                     rs1,
                     rs2,
                     target,
-                } => {
-                    let fetch = fetch_charge(host, &mut stats, base, s.words);
+                } if target <= len => {
+                    let fetch = fetch_charge(host, &mut stats, base, words);
                     entry = true;
                     stats.branches += 1;
                     if cond.eval(reg_get(&regs, rs1), reg_get(&regs, rs2)) {
@@ -362,8 +351,8 @@ impl Core {
                         fetch + 1
                     }
                 }
-                UOp::Jal { rd, target } => {
-                    let fetch = fetch_charge(host, &mut stats, base, s.words);
+                Instr::Jal { rd, target } if target <= len => {
+                    let fetch = fetch_charge(host, &mut stats, base, words);
                     reg_set(&mut regs, rd, next);
                     entry = true;
                     next = target;
@@ -371,7 +360,7 @@ impl Core {
                     stats.branches_taken += 1;
                     fetch + 1 + BRANCH_PENALTY
                 }
-                UOp::Jalr { rd, rs } => {
+                Instr::Jalr { rd, rs } => {
                     let target = reg_get(&regs, rs);
                     if target > len {
                         // BadTarget retires rd and the stats before
@@ -380,7 +369,7 @@ impl Core {
                         side_exit = true;
                         break;
                     }
-                    let fetch = fetch_charge(host, &mut stats, base, s.words);
+                    let fetch = fetch_charge(host, &mut stats, base, words);
                     reg_set(&mut regs, rd, next);
                     entry = true;
                     next = target;
@@ -388,7 +377,11 @@ impl Core {
                     stats.branches_taken += 1;
                     fetch + 1 + BRANCH_PENALTY
                 }
-                UOp::Exit => {
+                Instr::Branch { .. }
+                | Instr::Jal { .. }
+                | Instr::Halt
+                | Instr::Send { .. }
+                | Instr::Recv { .. } => {
                     side_exit = true;
                     break;
                 }
@@ -414,26 +407,28 @@ impl Core {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{CoreState, CpuError, Platform, StepOutcome};
     use stitch_isa::{Cond, Program, ProgramBuilder};
     use stitch_patch::PatchOutput;
 
     /// Flat memory + unit-latency fetch host, usable both as the
-    /// interpreter `Platform` and as a window `LaneHost`, so the test
-    /// can drive the same program through both engines.
+    /// interpreter `Platform` and as a window `LaneHost`, so a test can
+    /// drive the same program through both engines. Its customs compute
+    /// `out0 = in0 + in1` and `out1 = in0 ^ in1`.
     #[derive(Clone)]
-    struct FlatHost {
-        mem: Vec<u8>,
-        fetches: u64,
+    pub(crate) struct FlatHost {
+        pub(crate) mem: Vec<u8>,
+        /// Every fetched byte address, in order.
+        pub(crate) fetched: Vec<u32>,
     }
 
     impl FlatHost {
-        fn new() -> Self {
+        pub(crate) fn new() -> Self {
             FlatHost {
                 mem: vec![0; 0x10000],
-                fetches: 0,
+                fetched: Vec::new(),
             }
         }
 
@@ -462,8 +457,8 @@ mod tests {
     }
 
     impl Platform for FlatHost {
-        fn fetch(&mut self, _byte_addr: u32) -> u32 {
-            self.fetches += 1;
+        fn fetch(&mut self, byte_addr: u32) -> u32 {
+            self.fetched.push(byte_addr);
             1
         }
         fn load(&mut self, addr: u32, w: Width) -> (u32, u32) {
@@ -500,8 +495,8 @@ mod tests {
     }
 
     impl LaneHost for FlatHost {
-        fn fetch(&mut self, _byte_addr: u32) -> u32 {
-            self.fetches += 1;
+        fn fetch(&mut self, byte_addr: u32) -> u32 {
+            self.fetched.push(byte_addr);
             1
         }
         fn load(&mut self, addr: u32, w: Width) -> (u32, u32) {
@@ -585,7 +580,7 @@ mod tests {
             let r = Reg::from_index(r).expect("reg");
             assert_eq!(core.reg(r), ref_core.reg(r), "register {r:?}");
         }
-        assert_eq!(host.fetches + 1, ref_host.fetches);
+        assert_eq!(host.fetched.len() + 1, ref_host.fetched.len());
         assert_eq!(host.mem, ref_host.mem);
         // Stats match except the halt's own retire (1 instruction, 1
         // cycle on this unit-latency host).
@@ -681,7 +676,7 @@ mod tests {
         Core::new(&program).run_translated(&mut cache, &mut FlatHost::new(), whole);
         assert_eq!((cache.translated, cache.hits), (3, 5));
         cache.invalidate();
-        assert!(cache.uops.is_empty());
+        assert!(cache.entered.is_empty());
         assert_eq!(cache.covered_entries().count(), 0);
         Core::new(&program).run_translated(&mut cache, &mut FlatHost::new(), whole);
         assert_eq!(cache.translated, 6, "entries re-counted after invalidation");

@@ -1,4 +1,4 @@
-//! Entry-point coverage feedback from the micro-op translator.
+//! Entry-point coverage feedback from the window engine.
 //!
 //! Each tile's translation cache records the pcs where translated
 //! windows started and jumps landed; the set of `(tile, entry pc)`

@@ -242,10 +242,13 @@ pub fn mutate_bytes(bytes: &mut Vec<u8>, rng: &mut SimRng) {
 /// per-tile vector length, or a router buffer past its capacity — so the
 /// re-encoded blob still decodes but no longer fits the chip. Byte-level
 /// mutants almost never survive decoding to reach those restore checks.
+/// The same holds for the scheduling state: one case moves a waiting
+/// core's pc past the text or off its `recv`, or pushes `next_wake`
+/// ahead of every ready core.
 pub fn perturb_geometry(snap: &mut ChipSnapshot, rng: &mut SimRng) {
     let tile = rng.index(snap.mems.len());
     let mem = &mut snap.mems[tile];
-    match rng.index(4) {
+    match rng.index(5) {
         0 => mem.spm.data = vec![0; rng.index(mem.spm.data.len())].into(),
         1 => {
             let cache = if rng.chance(1, 2) {
@@ -257,6 +260,14 @@ pub fn perturb_geometry(snap: &mut ChipSnapshot, rng: &mut SimRng) {
         }
         2 => {
             snap.busy_until.pop();
+        }
+        3 => {
+            let waiter = snap.waiting_on.iter().position(Option::is_some);
+            match (waiter.and_then(|i| snap.cores[i].as_mut()), rng.index(3)) {
+                (Some(core), 0) => core.pc = 10_000 + rng.below(1 << 20) as u32,
+                (Some(core), 1) => core.pc = core.pc.wrapping_add(1),
+                _ => snap.next_wake = snap.cycle + 1 + rng.below(1_000_000),
+            }
         }
         _ => {
             let router = rng.index(snap.mesh.routers.len());

@@ -9,7 +9,7 @@
 //!
 //! This crate packages that contract as five deterministic fuzz
 //! targets (see [`targets`]), a coverage feedback signal fed by
-//! the micro-op translator's entry points ([`coverage`]), seeded input
+//! the window engine's entry pcs ([`coverage`]), seeded input
 //! generators and mutators that need nothing outside the workspace
 //! ([`gen`] drives [`stitch_sim::SimRng`]), and a checked-in minimized
 //! corpus replayed by unit tests ([`corpus`]).

@@ -46,7 +46,6 @@ pub mod op;
 pub mod program;
 pub mod rec;
 pub mod reg;
-pub mod uop;
 
 pub use custom::{CiDescriptor, CiId, CiTable, CustomInstr};
 pub use encode::{decode, decode_program, encode, encode_program};
@@ -55,7 +54,6 @@ pub use op::{AluOp, OpClass};
 pub use program::{Program, ProgramBuilder};
 pub use rec::{fnv1a64, DecodeError, OrCorrupt, Rec, RecView};
 pub use reg::Reg;
-pub use uop::{lower_program, UOp, UOpSlot};
 
 use std::fmt;
 

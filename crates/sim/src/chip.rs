@@ -821,10 +821,10 @@ pub struct Chip {
     /// Cycles elided by the fast path (diagnostic; not part of the
     /// summary, which must stay bit-identical to the reference loop).
     skipped: u64,
-    /// Translated (per-instruction micro-op) execution enabled for `run`.
+    /// Translated (windowed) execution enabled for `run`.
     translate: bool,
-    /// Per-tile translation caches (cleared on program swap; not part of
-    /// snapshots — lowering is a pure function of the loaded program).
+    /// Per-tile window entry bookkeeping (cleared on program swap; not
+    /// part of snapshots — diagnostics only, windows read the text).
     trans: Vec<TransCache>,
     /// Translated-engine diagnostics (windows, batched cycles, uops).
     tstats: TranslationStats,
@@ -982,8 +982,9 @@ impl Chip {
     ///
     /// [`SnapshotError::TopologyMismatch`] / [`SnapshotError::Mismatch`]
     /// when the snapshot does not fit this chip (per-tile vector lengths,
-    /// fault-runtime shape, loaded-core pattern, SPM image length, cache
-    /// line counts), a propagated
+    /// fault-runtime shape, loaded-core pattern, a waiting core whose pc
+    /// holds no `recv`, SPM image length, cache line counts), a
+    /// propagated
     /// [`SnapshotError::Mesh`] when the recorded network state is
     /// malformed (bad port/tile indices, over-capacity buffers), or a
     /// propagated [`SnapshotError::PatchNet`] if the recorded switch
@@ -1028,7 +1029,7 @@ impl Chip {
             m.check_snapshot(s)
                 .map_err(|what| SnapshotError::Mismatch { what })?;
         }
-        for (have, want) in self.cores.iter().zip(&snap.cores) {
+        for ((have, want), waits) in self.cores.iter().zip(&snap.cores).zip(&snap.waiting_on) {
             match (have, want) {
                 (Some(_), Some(_)) | (None, None) => {}
                 (None, Some(_)) => {
@@ -1040,6 +1041,19 @@ impl Chip {
                     return Err(SnapshotError::Mismatch {
                         what: "snapshot lacks core state for a loaded tile",
                     })
+                }
+            }
+            // A waiting core re-polls (and the fast path batch-replays
+            // the fetches of) the `recv` at its pc, so it must sit on one.
+            if waits.is_some() {
+                let parked = have
+                    .as_ref()
+                    .zip(want.as_ref())
+                    .is_some_and(|(c, s)| s.state == CoreState::Running && c.recv_at(s.pc));
+                if !parked {
+                    return Err(SnapshotError::Mismatch {
+                        what: "waiting core not parked on a recv",
+                    });
                 }
             }
         }
@@ -1062,7 +1076,18 @@ impl Chip {
         self.activations.clone_from(&snap.activations);
         self.xbar_errors = snap.xbar_errors;
         self.cycle = snap.cycle;
-        self.next_wake = snap.next_wake;
+        // `tick` never leaves the wake-up past a ready core's next step,
+        // so this clamp keeps a captured value and stops a forged one
+        // from skipping a core that should run.
+        self.next_wake = (0..n)
+            .filter(|&i| {
+                snap.waiting_on[i].is_none()
+                    && self.cores[i]
+                        .as_ref()
+                        .is_some_and(|c| c.state() == CoreState::Running)
+            })
+            .map(|i| snap.busy_until[i])
+            .fold(snap.next_wake, u64::min);
         self.skipped = snap.skipped;
         self.faults = snap.faults.as_ref().map(FaultRuntime::from_snapshot);
         // The incremental counters are derived state: recompute them.
@@ -1770,8 +1795,8 @@ impl Chip {
     ///
     /// With translation on, tracing off and no `memory_pages` cap (whose
     /// crossing cycle needs per-tick stores — see [`Chip::set_budget`]),
-    /// every ready core first runs through the translated micro-op
-    /// engine up to the horizon or a side exit (send/recv/halt,
+    /// every ready core first runs through the window engine over its
+    /// decoded text up to the horizon or a side exit (send/recv/halt,
     /// crossbar-config store, a custom whose fault-ladder rung needs the
     /// interpreter, architectural fault). Under a fault plan the horizon
     /// stops before the next plan event, but a transient fault's
@@ -1930,8 +1955,8 @@ impl Chip {
         self.cycle = target;
     }
 
-    /// Enables or disables the translated (per-instruction micro-op) engine
-    /// used by [`Chip::run`]. On by default; disabling forces every
+    /// Enables or disables the translated (windowed) engine used by
+    /// [`Chip::run`]. On by default; disabling forces every
     /// instruction through the interpreter (the fast path then only
     /// skips). Results are bit-identical either way.
     pub fn set_translation(&mut self, enabled: bool) {

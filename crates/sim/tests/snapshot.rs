@@ -16,6 +16,7 @@
 mod common;
 
 use common::{fused_chip, pipeline_chip, pipeline_sink, SINK_ADDR};
+use stitch_isa::{Cond, ProgramBuilder, Reg};
 use stitch_sim::{
     Chip, ChipSnapshot, FaultKind, FaultPlan, FaultSpace, SimError, SimRng, SnapshotError, TileId,
 };
@@ -244,20 +245,25 @@ fn restore_into_mismatched_chip_is_typed_and_harmless() {
     target.run(BUDGET).expect("restored chip completes");
 }
 
-/// Restores a decodable snapshot whose memory geometry `bend` made
-/// misfit the chip: the restore must fail with `Mismatch { what }`
-/// before touching any state, patch network included, and the chip must
-/// still take the unbent snapshot and complete.
-fn assert_geometry_rejected(bend: impl Fn(&mut ChipSnapshot), what: &str) {
-    let seed = seed_base() ^ 0x6E0;
-    let mut donor = fused_chip(seed);
-    assert!(matches!(donor.run(100), Err(SimError::Timeout { .. })));
+/// Restores a decodable snapshot that `bend` made misfit the chip —
+/// `make()` after `stop` cycles of its workload: the restore must fail
+/// with `Mismatch { what }` before touching any state, patch network
+/// included, and the chip must still take the unbent snapshot and
+/// complete.
+fn assert_rejected(
+    make: &dyn Fn() -> Chip,
+    stop: u64,
+    bend: impl Fn(&mut ChipSnapshot),
+    what: &str,
+) {
+    let mut donor = make();
+    assert!(matches!(donor.run(stop), Err(SimError::Timeout { .. })));
     let good = donor.checkpoint();
     let mut bad = good.clone();
     bend(&mut bad);
-    // The misfit survives the codec: geometry is the restore's to check.
+    // The misfit survives the codec: fit is the restore's to check.
     let bad = ChipSnapshot::decode(&bad.encode()).expect("bent snapshot decodes");
-    let mut target = fused_chip(seed);
+    let mut target = make();
     let before = target.checkpoint().encode();
     match target.restore(&bad) {
         Err(SnapshotError::Mismatch { what: got }) => assert_eq!(got, what),
@@ -266,6 +272,13 @@ fn assert_geometry_rejected(bend: impl Fn(&mut ChipSnapshot), what: &str) {
     assert_eq!(target.checkpoint().encode(), before, "{what}: chip changed");
     target.restore(&good).expect("matching restore succeeds");
     target.run(BUDGET).expect("restored chip completes");
+}
+
+/// [`assert_rejected`] on the fused workload, whose memory geometry
+/// `bend` changes.
+fn assert_geometry_rejected(bend: impl Fn(&mut ChipSnapshot), what: &str) {
+    let seed = seed_base() ^ 0x6E0;
+    assert_rejected(&|| fused_chip(seed), 100, bend, what);
 }
 
 #[test]
@@ -279,6 +292,76 @@ fn restore_rejects_short_spm_image_untouched() {
 #[test]
 fn restore_rejects_missing_cache_lines_untouched() {
     assert_geometry_rejected(|s| s.mems[0].icache.lines.truncate(1), "icache line count");
+}
+
+/// Tile 0 runs a 5,000-trip `mul` loop and then sends one word to tile
+/// 1, which waits in `recv` (pc 3) the whole time.
+fn compute_then_send_chip() -> Chip {
+    let mut b = ProgramBuilder::new();
+    b.li(Reg::R1, 5000);
+    let top = b.bound_label();
+    b.mul(Reg::R2, Reg::R1, Reg::R1);
+    b.addi(Reg::R1, Reg::R1, -1);
+    b.branch(Cond::Ne, Reg::R1, Reg::R0, top);
+    b.li(Reg::R3, 1);
+    b.li(Reg::R4, 0x100);
+    b.li(Reg::R5, 1);
+    b.send(Reg::R3, Reg::R4, Reg::R5);
+    b.halt();
+    let sender = b.build().expect("sender");
+    let mut b = ProgramBuilder::new();
+    b.li(Reg::R3, 0);
+    b.li(Reg::R4, 0x100);
+    b.li(Reg::R5, 1);
+    b.recv(Reg::R3, Reg::R4, Reg::R5);
+    b.halt();
+    let receiver = b.build().expect("receiver");
+    let mut chip = Chip::new(stitch_sim::ChipConfig::stitch_16());
+    chip.load_program(TileId(0), &sender).expect("tile 0");
+    chip.load_program(TileId(1), &receiver).expect("tile 1");
+    chip
+}
+
+/// A waiting core is re-polled, and its fetches batch-replayed, at its
+/// pc; a snapshot that parks it anywhere but on a `recv` (pc 3 of tile
+/// 1) is refused before the chip is touched.
+#[test]
+fn restore_rejects_waiting_core_off_its_recv() {
+    for pc in [10_000, 0, 4] {
+        let bend = |s: &mut ChipSnapshot| {
+            assert!(s.waiting_on[1].is_some(), "tile 1 waits in recv");
+            s.cores[1].as_mut().expect("tile 1 loaded").pc = pc;
+        };
+        assert_rejected(
+            &compute_then_send_chip,
+            200,
+            bend,
+            "waiting core not parked on a recv",
+        );
+    }
+}
+
+/// A forged `next_wake` past a ready core's next step must not let the
+/// fast path skip that core: the resumed run matches the reference loop
+/// with translation on and off.
+#[test]
+fn restored_next_wake_cannot_skip_a_ready_core() {
+    let mut donor = compute_then_send_chip();
+    assert!(matches!(donor.run(200), Err(SimError::Timeout { .. })));
+    let mut snap = donor.checkpoint();
+    assert!(snap.waiting_on[0].is_none(), "tile 0 is ready");
+    snap.next_wake = snap.cycle + 1_000_000;
+    let mut reference = compute_then_send_chip();
+    reference.restore(&snap).expect("restore");
+    let want = reference.run_reference(BUDGET).expect("reference run");
+    for translate in [true, false] {
+        let mut chip = compute_then_send_chip();
+        chip.set_translation(translate);
+        chip.restore(&snap).expect("restore");
+        let got = chip.run(BUDGET).expect("fast run");
+        assert_eq!(chip.cycle(), reference.cycle(), "translation {translate}");
+        assert_eq!(got, want, "translation {translate}");
+    }
 }
 
 /// A periodic rollback checkpoint taken after a restore is a full image
