@@ -103,10 +103,23 @@ pub fn random_program(rng: &mut SimRng) -> Program {
     b.build().expect("generated program is well formed")
 }
 
-/// A random 2–4 tile send/recv chain. The source emits a few short
-/// frames, middles bump-and-forward, the sink accumulates. Always
-/// terminates fault-free, so hangs under mutation or fault injection
-/// are findings, not noise.
+/// A compute loop of 1–100 `mul` trips: the busy stretch between a
+/// tile's messages, so a cycle cap often stops the chain with a tile
+/// waiting in `recv` and a message in flight.
+fn compute_pad(b: &mut ProgramBuilder, rng: &mut SimRng) {
+    b.li(Reg::R20, 1 + rng.below(100) as i64);
+    let top = b.bound_label();
+    b.mul(Reg::R21, Reg::R20, Reg::R20);
+    b.add(Reg::R22, Reg::R22, Reg::R21);
+    b.addi(Reg::R20, Reg::R20, -1);
+    b.branch(Cond::Ne, Reg::R20, Reg::R0, top);
+}
+
+/// A random 2–4 tile send/recv chain. The source emits a few frames of
+/// up to 24 words (six mesh packets), middles bump-and-forward, the
+/// sink accumulates, and every tile computes for a while per frame.
+/// Always terminates fault-free, so hangs under mutation or fault
+/// injection are findings, not noise.
 #[must_use]
 pub fn random_pipeline(rng: &mut SimRng) -> Vec<(TileId, Program)> {
     let k = 2 + rng.index(3);
@@ -117,7 +130,7 @@ pub fn random_pipeline(rng: &mut SimRng) -> Vec<(TileId, Program)> {
     }
     let chain = &tiles[..k];
     let frames = 1 + rng.below(3) as i64;
-    let len = 1 + rng.below(6) as i64;
+    let len = 1 + rng.below(24) as i64;
     let mut programs = Vec::new();
 
     let mut b = ProgramBuilder::new();
@@ -127,6 +140,7 @@ pub fn random_pipeline(rng: &mut SimRng) -> Vec<(TileId, Program)> {
     b.li(Reg::R3, i64::from(chain[1]));
     b.li(Reg::R4, len);
     let top = b.bound_label();
+    compute_pad(&mut b, rng);
     for w in 0..len {
         b.sw(Reg::R2, Reg::R1, (w * 4) as i32);
     }
@@ -149,6 +163,7 @@ pub fn random_pipeline(rng: &mut SimRng) -> Vec<(TileId, Program)> {
         b.lw(Reg::R2, Reg::R1, 0);
         b.addi(Reg::R2, Reg::R2, 1);
         b.sw(Reg::R2, Reg::R1, 0);
+        compute_pad(&mut b, rng);
         b.send(Reg::R6, Reg::R1, Reg::R4);
         b.addi(Reg::R10, Reg::R10, -1);
         b.branch(Cond::Ne, Reg::R10, Reg::R0, top);
@@ -166,6 +181,7 @@ pub fn random_pipeline(rng: &mut SimRng) -> Vec<(TileId, Program)> {
     b.recv(Reg::R5, Reg::R1, Reg::R4);
     b.lw(Reg::R2, Reg::R1, 0);
     b.add(Reg::R7, Reg::R7, Reg::R2);
+    compute_pad(&mut b, rng);
     b.addi(Reg::R10, Reg::R10, -1);
     b.branch(Cond::Ne, Reg::R10, Reg::R0, top);
     b.li(Reg::R8, 0x4000);

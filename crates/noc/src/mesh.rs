@@ -144,6 +144,14 @@ pub enum MeshError {
         /// Configured capacity in flits.
         capacity: usize,
     },
+    /// The packet counters disagree with the flits in flight: more
+    /// packets delivered than sent, an outstanding-packet count that is
+    /// not the number of tail flits in injection queues and router
+    /// buffers, or a reassembly whose message has no tail flit left.
+    Conservation {
+        /// Which rule the snapshot breaks.
+        what: &'static str,
+    },
     /// A reassembly holds more payload words than its message declares.
     OversizedReassembly {
         /// Destination tile of the reassembly.
@@ -182,6 +190,9 @@ impl std::fmt::Display for MeshError {
                 f,
                 "router {router} port {port} holds {flits} flits, capacity {capacity}"
             ),
+            MeshError::Conservation { what } => {
+                write!(f, "snapshot breaks flit conservation: {what}")
+            }
             MeshError::OversizedReassembly {
                 tile,
                 words,
@@ -196,6 +207,22 @@ impl std::fmt::Display for MeshError {
 
 impl std::error::Error for MeshError {}
 
+/// Output port for a flit at `here` by XY dimension-order routing.
+fn route_xy(topo: &Topology, here: TileId, dst: TileId) -> usize {
+    let (c, d) = (topo.coord(here), topo.coord(dst));
+    if d.x > c.x {
+        port_index(PortDir::East)
+    } else if d.x < c.x {
+        port_index(PortDir::West)
+    } else if d.y > c.y {
+        port_index(PortDir::South)
+    } else if d.y < c.y {
+        port_index(PortDir::North)
+    } else {
+        4 // local
+    }
+}
+
 fn port_index(p: PortDir) -> usize {
     match p {
         PortDir::North => 0,
@@ -206,13 +233,41 @@ fn port_index(p: PortDir) -> usize {
     }
 }
 
+/// Cycles one hop adds to a flit's trip: the router pipeline at the
+/// next router plus the link into it.
+const HOP: u64 = ROUTER_PIPELINE + LINK_LATENCY;
+
+/// Input port a flit leaving through output `out` (N, E, S, W) enters
+/// at the neighbouring router.
+fn opposite(out: usize) -> usize {
+    (out + 2) % 4
+}
+
 #[derive(Debug, Default)]
 struct Router {
     inputs: [VecDeque<Flit>; PORTS],
+    /// Bit `p` is set while `inputs[p]` holds a flit. Derived state:
+    /// kept by [`Router::push`] / [`Router::pop`], rebuilt on restore.
+    occupied: u8,
     /// Wormhole state: which input currently owns each output port.
     out_owner: [Option<usize>; PORTS],
     /// Round-robin pointer per output.
     rr: [usize; PORTS],
+}
+
+impl Router {
+    fn push(&mut self, port: usize, flit: Flit) {
+        self.inputs[port].push_back(flit);
+        self.occupied |= 1 << port;
+    }
+
+    fn pop(&mut self, port: usize) -> Option<Flit> {
+        let flit = self.inputs[port].pop_front();
+        if self.inputs[port].is_empty() {
+            self.occupied &= !(1 << port);
+        }
+        flit
+    }
 }
 
 /// A fully delivered message.
@@ -314,14 +369,17 @@ pub struct Mesh {
     stats: MeshStats,
     cycle: u64,
     next_msg_id: u64,
+    /// Flits in injection queues and router buffers. Derived state: kept
+    /// by `send`, injection and ejection, recomputed on restore.
+    in_flight: usize,
+    /// XY output port from each tile (row) to each destination (column),
+    /// `tiles × tiles`; fixed by the topology.
+    xy: Vec<u8>,
+    /// Neighbouring router through each of N, E, S, W (`None` at the
+    /// mesh edge); fixed by the topology.
+    links: Vec<[Option<u8>; 4]>,
     /// Scratch buffer for switch-traversal moves (reused across ticks).
     scratch_moves: Vec<Move>,
-    /// Scratch buffer for per-cycle credit claims (reused across ticks).
-    /// Each granted move records the destination buffer it consumed a
-    /// credit from, packed as `router * PORTS + port`; at most one move
-    /// per output port exists per cycle, so the list stays tiny and a
-    /// linear scan beats rebuilding a full credit table every tick.
-    scratch_claims: Vec<u32>,
     /// Per-tile, per-direction (N,E,S,W) cycle until which the outgoing
     /// link is down (`0` = healthy, `u64::MAX` = permanently down). The
     /// link is unusable while `cycle < link_down_until[t][d]`.
@@ -340,7 +398,16 @@ impl Mesh {
     #[must_use]
     pub fn new(cfg: MeshConfig) -> Self {
         let n = cfg.topo.tiles();
+        let dirs = [PortDir::North, PortDir::East, PortDir::South, PortDir::West];
+        let tile = |i: usize| TileId(i as u8);
         Mesh {
+            xy: (0..n * n)
+                .map(|k| route_xy(&cfg.topo, tile(k / n), tile(k % n)) as u8)
+                .collect(),
+            links: (0..n)
+                .map(|t| dirs.map(|d| cfg.topo.neighbor(tile(t), d).map(|x| x.0)))
+                .collect(),
+            in_flight: 0,
             cfg,
             routers: (0..n).map(|_| Router::default()).collect(),
             inject: vec![VecDeque::new(); n],
@@ -350,7 +417,6 @@ impl Mesh {
             cycle: 0,
             next_msg_id: 0,
             scratch_moves: Vec::new(),
-            scratch_claims: Vec::new(),
             link_down_until: vec![[0; 4]; n],
             any_link_faults: false,
             stalled_ticks: 0,
@@ -426,6 +492,7 @@ impl Mesh {
                     ready_at: self.cycle,
                 });
             }
+            self.in_flight += flits.len();
             self.inject[src.index()].push_back(flits);
             self.stats.packets_sent += 1;
         }
@@ -444,17 +511,16 @@ impl Mesh {
         self.delivered[tile.index()].iter().any(|m| m.src == src)
     }
 
-    /// True when no traffic is in flight anywhere.
+    /// True when no flit sits in any injection queue or router buffer,
+    /// so that a tick is a pure clock advance.
     ///
-    /// O(1): every injected packet increments `packets_sent` and its tail
-    /// flit increments `packets_delivered` at ejection, and a reassembly
-    /// entry is removed exactly when its message's last packet delivers —
-    /// so the counters match iff injection queues, router buffers, and
-    /// reassembly tables are all empty (checked against the exhaustive
-    /// scan in debug builds).
+    /// O(1): a derived flit count that `send`, injection and ejection
+    /// keep and `restore` recomputes (checked against the exhaustive
+    /// scan in debug builds). It never trusts the packet counters, so a
+    /// restored snapshot cannot make a busy mesh read idle.
     #[must_use]
     pub fn idle(&self) -> bool {
-        let fast = self.stats.packets_sent == self.stats.packets_delivered;
+        let fast = self.in_flight == 0;
         debug_assert_eq!(fast, self.idle_exhaustive());
         fast
     }
@@ -467,18 +533,88 @@ impl Mesh {
                 .routers
                 .iter()
                 .all(|r| r.inputs.iter().all(VecDeque::is_empty))
-            && self.assembling.iter().all(Vec::is_empty)
     }
 
-    /// Jumps the network clock forward to `cycle` without ticking.
+    /// Advances the network clock to `target`, leaving exactly the state
+    /// `target - cycle` calls to [`Mesh::tick`] would.
     ///
-    /// Only legal while [`Mesh::idle`]: an idle tick is a pure
-    /// `cycle += 1`, so skipping the intermediate cycles is
-    /// state-equivalent. Used by the simulator's event-driven fast path.
-    pub fn fast_forward(&mut self, cycle: u64) {
-        debug_assert!(self.idle(), "fast_forward requires an idle mesh");
-        debug_assert!(cycle >= self.cycle, "fast_forward only moves forward");
-        self.cycle = cycle;
+    /// It ticks once per cycle while flits are in flight, at full
+    /// flit-level fidelity, and sets the clock directly once the mesh is
+    /// idle: an idle tick only moves the clock and clears the stall
+    /// probe. The simulator's event-driven fast path calls it for every
+    /// jump. Nothing is traced, so callers that trace jump only an idle
+    /// mesh, whose ticks emit nothing.
+    pub fn advance_to(&mut self, target: u64) {
+        while self.cycle < target && !self.idle() {
+            self.tick();
+        }
+        if self.cycle < target {
+            self.cycle = target;
+            self.stalled_ticks = 0;
+        }
+    }
+
+    /// Earliest cycle at which a message whose `(dst, src)` pair
+    /// satisfies `wanted` can complete delivery, or `u64::MAX` when no
+    /// such message has a flit in flight. A lower bound, never later
+    /// than the real delivery:
+    ///
+    /// - a flit in a router buffer ejects no earlier than
+    ///   `max(ready_at, now + 1) + HOP × hops`, hops being the Manhattan
+    ///   distance to its destination (a misroute only adds hops);
+    /// - a flit still in an injection queue adds one more
+    ///   [`ROUTER_PIPELINE`];
+    /// - a destination ejects at most one flit per cycle, so a message
+    ///   with `k` flits left needs `k − 1` cycles after its first one.
+    ///
+    /// A message is delivered when its last flit ejects, so its bound is
+    /// the maximum over its flits; the result is the minimum over
+    /// messages. O(flits in flight).
+    #[must_use]
+    pub fn delivery_bound(&self, mut wanted: impl FnMut(TileId, TileId) -> bool) -> u64 {
+        // Per message (keyed by dst, src and id): earliest and latest
+        // flit bound, and flits left. Flits of one message sit next to
+        // each other in every queue, so the search from the back almost
+        // always stops at the last entry.
+        type Key = (TileId, TileId, u64);
+        let mut msgs: Vec<(Key, u64, u64, u64)> = Vec::new();
+        let mut note = |f: &Flit, at: u64| {
+            let key = (f.dst, f.src, f.msg_id);
+            match msgs.iter_mut().rev().find(|m| m.0 == key) {
+                Some(m) => {
+                    m.1 = m.1.min(at);
+                    m.2 = m.2.max(at);
+                    m.3 += 1;
+                }
+                None => msgs.push((key, at, at, 1)),
+            }
+        };
+        let next = self.cycle + 1;
+        let topo = &self.cfg.topo;
+        for (t, q) in self.inject.iter().enumerate() {
+            for f in q.iter().flatten() {
+                if wanted(f.dst, f.src) {
+                    let hops = u64::from(topo.distance(TileId(t as u8), f.dst));
+                    note(f, next + ROUTER_PIPELINE + HOP * hops);
+                }
+            }
+        }
+        for (r, router) in self.routers.iter().enumerate() {
+            if router.occupied == 0 {
+                continue;
+            }
+            for f in router.inputs.iter().flatten() {
+                if wanted(f.dst, f.src) {
+                    let hops = u64::from(topo.distance(TileId(r as u8), f.dst));
+                    // `ready_at` may come from a restored snapshot.
+                    note(f, f.ready_at.max(next).saturating_add(HOP * hops));
+                }
+            }
+        }
+        msgs.iter()
+            .map(|&(_, first, last, flits)| last.max(first.saturating_add(flits - 1)))
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Marks the bidirectional mesh link between `tile` and its `dir`
@@ -517,22 +653,6 @@ impl Mesh {
         self.stalled_ticks
     }
 
-    /// Output port for a flit at `here` by XY dimension-order routing.
-    fn route_xy(&self, here: TileId, dst: TileId) -> usize {
-        let (c, d) = (self.cfg.topo.coord(here), self.cfg.topo.coord(dst));
-        if d.x > c.x {
-            port_index(PortDir::East)
-        } else if d.x < c.x {
-            port_index(PortDir::West)
-        } else if d.y > c.y {
-            port_index(PortDir::South)
-        } else if d.y < c.y {
-            port_index(PortDir::North)
-        } else {
-            4 // local
-        }
-    }
-
     /// Output port for a flit at `here`, with a deterministic fault-aware
     /// fallback when the preferred XY link is down: first the productive
     /// port of the other dimension, then any live link in fixed N,E,S,W
@@ -541,7 +661,7 @@ impl Mesh {
     /// waits; the stall probe converts that into a typed fault upstream.
     /// Fault-free runs never leave the XY path.
     fn route(&self, here: TileId, dst: TileId) -> usize {
-        let preferred = self.route_xy(here, dst);
+        let preferred = usize::from(self.xy[here.index() * self.tiles() + dst.index()]);
         if preferred == 4 || !self.any_link_faults || self.link_up(here, preferred) {
             return preferred;
         }
@@ -583,14 +703,17 @@ impl Mesh {
 
     /// [`Mesh::tick`] with per-link flit hops and packet deliveries
     /// reported to `tracer`. Idle ticks emit nothing — the event-driven
-    /// fast path may replace them with [`Mesh::fast_forward`] without
+    /// fast path may replace them with [`Mesh::advance_to`] without
     /// changing the event stream.
+    ///
+    /// The cost follows occupancy: only routers holding a flit arbitrate,
+    /// and each finds its inputs, and the inputs requesting each output,
+    /// as bitmasks.
     pub fn tick_traced(&mut self, tracer: &mut Tracer) {
         self.cycle += 1;
         // An idle tick is a pure clock advance: no flit sits in any
-        // injection queue, router buffer, or reassembly table (the
-        // counter equality implies structural emptiness — debug-asserted
-        // in `idle`), so the scans below would all come up empty.
+        // injection queue or router buffer, so the scans below would all
+        // come up empty.
         if self.idle() {
             self.stalled_ticks = 0;
             return;
@@ -614,7 +737,7 @@ impl Mesh {
                     continue;
                 };
                 flit.ready_at = self.cycle + ROUTER_PIPELINE;
-                self.routers[t].inputs[4].push_back(flit);
+                self.routers[t].push(4, flit);
                 moved += 1;
                 progressed = true;
             }
@@ -627,64 +750,62 @@ impl Mesh {
         // 2. Switch traversal: per router, per output port, forward at
         // most one eligible flit, honoring wormhole ownership and
         // downstream credits. Collect moves first to keep the update
-        // atomic within the cycle. Both working buffers are taken from
-        // (and returned to) `self` so steady-state ticks allocate nothing.
+        // atomic within the cycle; the buffer is taken from (and
+        // returned to) `self` so steady-state ticks allocate nothing.
+        // Credits are read from start-of-cycle occupancy: an input
+        // buffer is fed by exactly one upstream output port, which
+        // forwards at most one flit per cycle, so no buffer is claimed
+        // twice within a cycle.
         let mut moves = std::mem::take(&mut self.scratch_moves);
         moves.clear();
-        // Track per-destination-buffer credit consumption within this
-        // cycle. Buffer occupancy only changes when moves apply (after
-        // selection), so `len()` still reads the start-of-cycle value and
-        // the claims list supplies the within-cycle decrements.
-        let mut claims = std::mem::take(&mut self.scratch_claims);
-        claims.clear();
-
         for r in 0..n {
             // A router with every input buffer empty can pick nothing on
             // any output (wormhole ownership and round-robin state only
-            // act on resident flits), so the arbitration scan below is a
-            // no-op for it. Most ticks have traffic at only a couple of
-            // routers; skipping the rest keeps the tick near O(flits).
-            if self.routers[r].inputs.iter().all(VecDeque::is_empty) {
+            // act on resident flits).
+            let occupied = self.routers[r].occupied;
+            if occupied == 0 {
                 continue;
             }
             let here = TileId(r as u8);
-            // Memoize each eligible head-of-line flit's state once per
-            // router instead of re-probing (and re-routing) it for every
-            // output port: `Some((is_head, route))` when the front flit is
-            // ready this cycle, with `route` computed only for head flits
-            // (body flits follow the wormhole owner's port and never
-            // consult the route).
-            let mut heads: [Option<(bool, usize)>; PORTS] = [None; PORTS];
-            for (p, q) in self.routers[r].inputs.iter().enumerate() {
-                if let Some(f) = q.front() {
-                    if f.ready_at <= self.cycle {
-                        let route = if f.is_head {
-                            self.route(here, f.dst)
-                        } else {
-                            PORTS
-                        };
-                        heads[p] = Some((f.is_head, route));
-                    }
+            // Inputs whose front flit is ready this cycle: `body` when it
+            // is a body flit (it follows its wormhole owner's port), and
+            // `wants[out]` when it is a head flit routed to `out`.
+            let mut body = 0u8;
+            let mut wants = [0u8; PORTS];
+            let mut left = occupied;
+            while left != 0 {
+                let p = left.trailing_zeros() as usize;
+                left &= left - 1;
+                let Some(f) = self.routers[r].inputs[p].front() else {
+                    continue;
+                };
+                if f.ready_at > self.cycle {
+                    continue;
+                }
+                if f.is_head {
+                    wants[self.route(here, f.dst)] |= 1 << p;
+                } else {
+                    body |= 1 << p;
                 }
             }
-            for out in 0..PORTS {
-                // Candidate inputs whose head-of-line flit wants `out`.
-                let owner = self.routers[r].out_owner[out];
-                let pick: Option<usize> = if let Some(input) = owner {
+            for (out, &want) in wants.iter().enumerate() {
+                let router = &self.routers[r];
+                let pick = if let Some(input) = router.out_owner[out] {
                     // Wormhole: only the owning input may use this output.
                     // Body flits follow the head's output unconditionally;
                     // re-checking `route` per flit is redundant while
                     // routes are static and would strand mid-packet flits
                     // when a link fault changes the route's answer.
-                    let head_ok =
-                        heads[input].is_some_and(|(is_head, route)| !is_head || route == out);
-                    head_ok.then_some(input)
+                    ((body | want) & (1 << input) != 0).then_some(input)
+                } else if want == 0 {
+                    None
                 } else {
-                    // Round-robin among inputs with an eligible head flit.
-                    let start = self.routers[r].rr[out];
-                    (0..PORTS)
-                        .map(|k| (start + k) % PORTS)
-                        .find(|&input| heads[input] == Some((true, out)))
+                    // Round-robin among inputs with an eligible head flit:
+                    // rotate the request mask so `rr[out]` is bit 0.
+                    let start = router.rr[out];
+                    let m = u32::from(want);
+                    let rotated = ((m >> start) | (m << (PORTS - start))) & ((1 << PORTS) - 1);
+                    Some((start + rotated.trailing_zeros() as usize) % PORTS)
                 };
                 let Some(input) = pick else { continue };
 
@@ -698,26 +819,20 @@ impl Mesh {
                         out,
                     });
                 } else {
-                    let dir = [PortDir::North, PortDir::East, PortDir::South, PortDir::West][out];
-                    let Some(next) = self.cfg.topo.neighbor(here, dir) else {
+                    let Some(next) = self.links[r][out] else {
                         continue;
                     };
                     if self.any_link_faults && !self.link_up(here, out) {
                         continue; // link is down; the flit waits in place
                     }
-                    let in_port = port_index(dir.opposite());
-                    let key = (next.index() * PORTS + in_port) as u32;
-                    let used = claims.iter().filter(|&&k| k == key).count();
-                    let free =
-                        self.cfg.buffer_flits - self.routers[next.index()].inputs[in_port].len();
-                    if used >= free {
+                    let (next, in_port) = (usize::from(next), opposite(out));
+                    if self.routers[next].inputs[in_port].len() >= self.cfg.buffer_flits {
                         continue; // no downstream buffer space
                     }
-                    claims.push(key);
                     moves.push(Move {
                         from_router: r,
                         from_port: input,
-                        to_router: Some(next.index()),
+                        to_router: Some(next),
                         to_port: in_port,
                         out,
                     });
@@ -734,7 +849,7 @@ impl Mesh {
             // the move was stale, and is defensively dropped. Credits
             // are derived from buffer occupancy each tick, so dropping
             // it leaves nothing to repair.
-            let Some(flit) = self.routers[m.from_router].inputs[m.from_port].pop_front() else {
+            let Some(flit) = self.routers[m.from_router].pop(m.from_port) else {
                 continue;
             };
             let here = TileId(m.from_router as u8);
@@ -748,7 +863,10 @@ impl Mesh {
                 router.out_owner[m.out] = None;
             }
             match m.to_router {
-                None => self.eject(here, flit, tracer),
+                None => {
+                    self.in_flight -= 1;
+                    self.eject(here, flit, tracer);
+                }
                 Some(next) => {
                     self.stats.flit_hops += 1;
                     tracer.emit(|| TraceEvent::FlitHop {
@@ -757,13 +875,12 @@ impl Mesh {
                         dir: m.out as u8,
                     });
                     let mut f = flit;
-                    f.ready_at = self.cycle + LINK_LATENCY + ROUTER_PIPELINE;
-                    self.routers[next].inputs[m.to_port].push_back(f);
+                    f.ready_at = self.cycle + HOP;
+                    self.routers[next].push(m.to_port, f);
                 }
             }
         }
         self.scratch_moves = moves;
-        self.scratch_claims = claims;
         if progressed {
             self.stalled_ticks = 0;
         } else {
@@ -849,8 +966,9 @@ impl Mesh {
     /// per-tile vectors match the topology, every wormhole owner and
     /// round-robin pointer names a real port, every flit/reassembly/
     /// message names a real tile, no buffer exceeds its credit-managed
-    /// capacity, and no reassembly holds more words than its message
-    /// declares. Snapshots are untrusted input (they may come from an
+    /// capacity, no reassembly holds more words than its message
+    /// declares, and the packet counters agree with the tail flits in
+    /// flight. Snapshots are untrusted input (they may come from an
     /// edited or fuzzed file), so a clean pass here is the precondition
     /// for [`Mesh::restore`].
     ///
@@ -937,6 +1055,36 @@ impl Mesh {
                 tile_ok(m.src)?;
             }
         }
+        // Flit conservation: every packet sent and not yet delivered has
+        // exactly one tail flit in flight, and every open reassembly
+        // still waits for a tail of its own message. `idle`, `advance_to`
+        // and `delivery_bound` all read the flits, never the counters.
+        let conservation = |what| Err(MeshError::Conservation { what });
+        let tails: Vec<(TileId, TileId, u64)> = snap
+            .inject
+            .iter()
+            .flatten()
+            .flatten()
+            .chain(snap.routers.iter().flat_map(|r| r.inputs.iter().flatten()))
+            .filter(|f| f.is_tail)
+            .map(|f| (f.dst, f.src, f.msg_id))
+            .collect();
+        let Some(outstanding) = snap
+            .stats
+            .packets_sent
+            .checked_sub(snap.stats.packets_delivered)
+        else {
+            return conservation("more packets delivered than sent");
+        };
+        if outstanding != tails.len() as u64 {
+            return conservation("outstanding packets differ from tail flits in flight");
+        }
+        for (t, v) in snap.assembling.iter().enumerate() {
+            let dst = TileId(t as u8);
+            if v.iter().any(|a| !tails.contains(&(dst, a.src, a.msg_id))) {
+                return conservation("open reassembly with no tail flit in flight");
+            }
+        }
         Ok(())
     }
 
@@ -949,9 +1097,13 @@ impl Mesh {
     pub fn restore(&mut self, snap: &MeshSnapshot) -> Result<(), MeshError> {
         self.validate_snapshot(snap)?;
         for (r, s) in self.routers.iter_mut().zip(&snap.routers) {
+            r.occupied = 0;
             for p in 0..PORTS {
                 r.inputs[p].clear();
                 r.inputs[p].extend(s.inputs[p].iter().copied());
+                if !s.inputs[p].is_empty() {
+                    r.occupied |= 1 << p;
+                }
                 r.out_owner[p] = s.out_owner[p].map(usize::from);
                 r.rr[p] = usize::from(s.rr[p]);
             }
@@ -963,6 +1115,13 @@ impl Mesh {
                     .map(|pkt| pkt.iter().copied().collect::<VecDeque<_>>()),
             );
         }
+        self.in_flight = self
+            .inject
+            .iter()
+            .flatten()
+            .chain(self.routers.iter().flat_map(|r| r.inputs.iter()))
+            .map(VecDeque::len)
+            .sum();
         self.assembling.clone_from(&snap.assembling);
         for (q, s) in self.delivered.iter_mut().zip(&snap.delivered) {
             q.clear();
@@ -981,7 +1140,8 @@ impl Mesh {
     /// credit-managed capacity, and flits are conserved — every packet
     /// injected and not yet delivered has exactly one tail flit somewhere
     /// in the network (no duplication, no loss), and no reassembly holds
-    /// more words than its message declares.
+    /// more words than its message declares. The derived occupancy masks
+    /// and flit count must match the buffers.
     ///
     /// Returns a description of the first violation found. Runs an
     /// exhaustive scan, so callers gate it (the chip runs it in debug
@@ -1002,6 +1162,33 @@ impl Mesh {
                     ));
                 }
             }
+            let mask = (0..PORTS)
+                .filter(|&p| !router.inputs[p].is_empty())
+                .fold(0u8, |m, p| m | 1 << p);
+            if mask != router.occupied {
+                return Err(format!(
+                    "router {r} occupancy mask {:05b} but non-empty inputs {mask:05b}",
+                    router.occupied
+                ));
+            }
+        }
+        let flits = self
+            .inject
+            .iter()
+            .flatten()
+            .map(VecDeque::len)
+            .sum::<usize>()
+            + self
+                .routers
+                .iter()
+                .flat_map(|r| r.inputs.iter())
+                .map(VecDeque::len)
+                .sum::<usize>();
+        if flits != self.in_flight {
+            return Err(format!(
+                "{flits} flits in flight but the derived count reads {}",
+                self.in_flight
+            ));
         }
         let mut tails: u64 = 0;
         for router in &self.routers {
@@ -1234,6 +1421,45 @@ mod tests {
             let b = replica.pop_delivered(TileId(15 - t), TileId(t)).unwrap();
             assert_eq!(a, b);
         }
+    }
+
+    #[test]
+    fn restore_rejects_counters_that_disagree_with_the_flits() {
+        let mut m = mesh();
+        m.send(TileId(0), TileId(15), &[7; 8]);
+        for _ in 0..3 {
+            m.tick();
+        }
+        let good = m.snapshot();
+        let mut all_delivered = good.clone();
+        all_delivered.stats.packets_delivered = all_delivered.stats.packets_sent;
+        let mut over_delivered = good.clone();
+        over_delivered.stats.packets_delivered = over_delivered.stats.packets_sent + 1;
+        let mut stray = good.clone();
+        stray.assembling[3].push(Reassembly {
+            src: TileId(1),
+            msg_id: 99,
+            expected: 4,
+            words: vec![1],
+        });
+        let mut replica = mesh();
+        for bad in [all_delivered, over_delivered, stray] {
+            assert!(
+                matches!(replica.restore(&bad), Err(MeshError::Conservation { .. })),
+                "forged counters accepted: {:?}",
+                bad.stats
+            );
+            assert!(
+                replica.idle(),
+                "a refused restore leaves the mesh as it was"
+            );
+        }
+        replica.restore(&good).expect("genuine snapshot restores");
+        replica.drain(10_000);
+        let msg = replica
+            .pop_delivered(TileId(15), TileId(0))
+            .expect("delivered");
+        assert_eq!(msg.words, vec![7; 8]);
     }
 
     #[test]

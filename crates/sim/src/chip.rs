@@ -986,7 +986,8 @@ impl Chip {
     /// holds no `recv`, SPM image length, cache line counts), a
     /// propagated
     /// [`SnapshotError::Mesh`] when the recorded network state is
-    /// malformed (bad port/tile indices, over-capacity buffers), or a
+    /// malformed (bad port/tile indices, over-capacity buffers, packet
+    /// counters that disagree with the flits in flight), or a
     /// propagated [`SnapshotError::PatchNet`] if the recorded switch
     /// state is invalid. The chip is unmodified on error.
     pub fn restore(&mut self, snap: &ChipSnapshot) -> Result<(), SnapshotError> {
@@ -1651,14 +1652,15 @@ impl Chip {
 
     /// Runs until every core halts, using the event-driven fast path.
     ///
-    /// Whenever the mesh is idle and no waiting core has a deliverable
-    /// message, the intermediate cycles are fully deterministic: ready
-    /// cores run translated code, busy cores stall and waiting cores
-    /// repeat the same failed poll. Each iteration makes one
-    /// fast-forward call that jumps over such a stretch,
-    /// replaying the batched poll side effects, instead of ticking
-    /// through it. Produces a [`RunSummary`] bit-identical to
-    /// [`Chip::run_reference`].
+    /// Until the next side exit, fault event, checkpoint or possible
+    /// delivery to a waiting core, the intermediate cycles are fully
+    /// deterministic: ready cores run translated code, busy cores stall,
+    /// waiting cores repeat the same failed poll and the mesh moves its
+    /// flits on its own. Each iteration makes one fast-forward call that
+    /// jumps over such a stretch — ticking only the mesh, and only while
+    /// flits are in flight — and replays the batched poll side effects,
+    /// instead of ticking the whole chip through it. Produces a
+    /// [`RunSummary`] bit-identical to [`Chip::run_reference`].
     ///
     /// # Errors
     ///
@@ -1786,12 +1788,26 @@ impl Chip {
     /// already fixed, so the tick loop only runs the cycles where
     /// something interacts.
     ///
-    /// Fires only when the mesh is idle (no flit moves in the jumped
-    /// stretch) and no waiting core has a deliverable message (each
+    /// Fires only when no waiting core has a deliverable message (each
     /// jumped tick would repeat the same failed `recv` poll). The
     /// horizon is clamped below the deadline and the next scheduled
     /// fault / periodic checkpoint, so nothing the interpreter would have
-    /// interleaved can land inside the jump.
+    /// interleaved can land inside the jump. While flits are in flight
+    /// the mesh keeps ticking through the jump on its own
+    /// ([`Mesh::advance_to`]) — cores never touch it between their
+    /// side exits — and the horizon is clamped twice more:
+    ///
+    /// - *delivery*: below the earliest cycle at which a message can
+    ///   complete delivery to a waiting `(tile, src)` pair
+    ///   ([`Mesh::delivery_bound`]), or to any tile when every live core
+    ///   waits, since the mesh falling idle then is the deadlock check's
+    ///   cycle;
+    /// - *stall*: under a fault plan, below the first cycle at which the
+    ///   stall probe could reach [`MESH_STALL_TICKS`], so a wedged mesh
+    ///   fails on the reference's cycle.
+    ///
+    /// A traced run jumps only an idle mesh: its flit and delivery
+    /// events are emitted by ticks.
     ///
     /// With translation on, tracing off and no `memory_pages` cap (whose
     /// crossing cycle needs per-tick stores — see [`Chip::set_budget`]),
@@ -1815,7 +1831,8 @@ impl Chip {
     /// effects are replayed in one batch — so every summary, snapshot,
     /// and error stays bit-identical to [`Chip::run_reference`].
     fn fast_forward(&mut self, deadline: u64) {
-        if !self.mesh.idle() {
+        let mesh_busy = !self.mesh.idle();
+        if mesh_busy && self.tracer.is_enabled() {
             return;
         }
         for (i, src) in self.waiting_on.iter().enumerate() {
@@ -1838,6 +1855,20 @@ impl Chip {
         if let Some(rb) = self.rollback.as_ref() {
             horizon = horizon.min(rb.next_checkpoint.saturating_sub(1));
         }
+        if mesh_busy {
+            if self.waiting > 0 {
+                let every = self.waiting == self.live;
+                let waiting_on = &self.waiting_on;
+                let delivery = self.mesh.delivery_bound(|dst, src| {
+                    every || waiting_on[dst.index()].is_some_and(|w| w as u8 == src.0)
+                });
+                horizon = horizon.min(delivery.saturating_sub(1));
+            }
+            if self.faults.is_some() {
+                let stall = MESH_STALL_TICKS.saturating_sub(self.mesh.stalled_ticks());
+                horizon = horizon.min((self.cycle + stall).saturating_sub(1));
+            }
+        }
         if horizon <= self.cycle {
             return;
         }
@@ -1854,8 +1885,10 @@ impl Chip {
                 }
             }
         }
-        // Every live core waits: leave that state to the deadlock check.
-        if self.next_wake == u64::MAX {
+        // Every live core waits on an idle mesh: leave that state to the
+        // deadlock check. On a busy mesh the delivery clamp already
+        // stops the skip before anything can reach them.
+        if self.next_wake == u64::MAX && !mesh_busy {
             return;
         }
         let target = self.next_wake.saturating_sub(1).min(horizon);
@@ -1932,7 +1965,8 @@ impl Chip {
 
     /// Moves the clock to `target`, replaying the waiting cores'
     /// per-cycle poll side effects — instruction-fetch icache hits and
-    /// `recv_wait_cycles` — in one batch.
+    /// `recv_wait_cycles` — in one batch, while the mesh advances on its
+    /// own, one tick per cycle as long as flits are in flight.
     fn jump_to(&mut self, target: u64) {
         let polls = target - self.cycle;
         if self.waiting > 0 {
@@ -1951,7 +1985,7 @@ impl Chip {
                 self.mems[i].record_repeat_fetches(addr, words, polls);
             }
         }
-        self.mesh.fast_forward(target);
+        self.mesh.advance_to(target);
         self.cycle = target;
     }
 

@@ -190,3 +190,67 @@ pub fn fused_chip(seed: u64) -> Chip {
         .unwrap();
     chip
 }
+
+/// Tiles of [`streaming_chip`]: producer, consumer, and the tile that
+/// only computes.
+pub const STREAM_TILES: [TileId; 3] = [TileId(0), TileId(10), TileId(15)];
+
+/// A producer (tile 0) streams `iters` messages of `words` words to a
+/// consumer (tile 10) that waits in `recv` for each, after `pad` trips
+/// of a `mul` loop per message, while tile 15 computes for about as
+/// long as the stream lasts. Each message spends tens of cycles in the
+/// mesh with the consumer waiting and the other two tiles busy.
+pub fn streaming_chip(iters: i64, words: i64, pad: i64) -> Chip {
+    let [producer, consumer, worker] = STREAM_TILES;
+    let mut b = ProgramBuilder::new();
+    b.li(Reg::R10, iters);
+    b.li(Reg::R1, 0x1000);
+    b.li(Reg::R3, i64::from(consumer.0));
+    b.li(Reg::R4, words);
+    let top = b.bound_label();
+    b.li(Reg::R20, pad);
+    let inner = b.bound_label();
+    b.mul(Reg::R21, Reg::R20, Reg::R20);
+    b.add(Reg::R22, Reg::R22, Reg::R21);
+    b.addi(Reg::R20, Reg::R20, -1);
+    b.branch(Cond::Ne, Reg::R20, Reg::R0, inner);
+    b.sw(Reg::R22, Reg::R1, 0);
+    b.send(Reg::R3, Reg::R1, Reg::R4);
+    b.addi(Reg::R10, Reg::R10, -1);
+    b.branch(Cond::Ne, Reg::R10, Reg::R0, top);
+    b.halt();
+    let source = b.build().expect("producer program");
+
+    let mut b = ProgramBuilder::new();
+    b.li(Reg::R10, iters);
+    b.li(Reg::R1, 0x1000);
+    b.li(Reg::R5, i64::from(producer.0));
+    b.li(Reg::R4, words);
+    b.li(Reg::R7, 0);
+    let top = b.bound_label();
+    b.recv(Reg::R5, Reg::R1, Reg::R4);
+    b.lw(Reg::R2, Reg::R1, 0);
+    b.add(Reg::R7, Reg::R7, Reg::R2);
+    b.addi(Reg::R10, Reg::R10, -1);
+    b.branch(Cond::Ne, Reg::R10, Reg::R0, top);
+    b.li(Reg::R8, i64::from(SINK_ADDR));
+    b.sw(Reg::R7, Reg::R8, 0);
+    b.halt();
+    let sink = b.build().expect("consumer program");
+
+    let mut b = ProgramBuilder::new();
+    b.li(Reg::R20, iters * pad);
+    let top = b.bound_label();
+    b.mul(Reg::R21, Reg::R20, Reg::R20);
+    b.add(Reg::R22, Reg::R22, Reg::R21);
+    b.addi(Reg::R20, Reg::R20, -1);
+    b.branch(Cond::Ne, Reg::R20, Reg::R0, top);
+    b.halt();
+    let compute = b.build().expect("worker program");
+
+    let mut chip = Chip::new(ChipConfig::stitch_16());
+    chip.load_program(producer, &source).unwrap();
+    chip.load_program(consumer, &sink).unwrap();
+    chip.load_program(worker, &compute).unwrap();
+    chip
+}

@@ -1,8 +1,10 @@
 //! Golden equivalence tests for the event-driven fast path.
 //!
 //! `Chip::run` fast-forwards the clock — through translated windows or
-//! plain cycle skips — whenever the mesh is idle and no waiting core has
-//! a deliverable message. These tests pin the invariant: over randomized
+//! plain cycle skips — whenever no waiting core has a deliverable
+//! message, up to the first cycle a message in flight could reach one;
+//! the mesh keeps ticking on its own through the jump. These tests pin
+//! the invariant: over randomized
 //! multi-tile message-passing pipelines and fused custom-instruction
 //! workloads — with and without an active [`FaultPlan`] — the fast path
 //! must produce a `RunSummary` bit-identical to the naive cycle-by-cycle
@@ -10,9 +12,13 @@
 
 mod common;
 
-use common::{fused_chip, pipeline_chip};
+use common::{fused_chip, pipeline_chip, streaming_chip, STREAM_TILES};
 use stitch_isa::{Cond, ProgramBuilder, Reg};
-use stitch_sim::{Chip, ChipConfig, FaultPlan, FaultSpace, RunBudget, TileId, TraceConfig};
+use stitch_noc::PortDir;
+use stitch_sim::{
+    Chip, ChipConfig, FaultKind, FaultPlan, FaultSpace, FaultedKind, RunBudget, SimError, TileId,
+    TraceConfig,
+};
 
 const BUDGET: u64 = 50_000_000;
 
@@ -327,4 +333,102 @@ fn fast_path_matches_reference_under_compute_faults_in_windows() {
         );
     }
     assert!(demotions > 0, "no plan demoted a custom instruction");
+}
+
+/// A producer streams 64-word messages to a waiting consumer while a
+/// third tile computes: with the mesh busy for tens of cycles per
+/// message, windows must keep running instead of ticking the chip
+/// until the mesh drains. Translation on and off both match the
+/// reference, and the translated run ticks under 2% of its cycles.
+#[test]
+fn windows_run_while_messages_are_in_flight() {
+    for (iters, words, pad) in [(12, 64, 150), (6, 96, 150)] {
+        let mut naive = streaming_chip(iters, words, pad);
+        let want = naive.run_reference(BUDGET).expect("reference run");
+        assert!(want.mesh.packets_delivered >= 16 * iters as u64);
+        for translate in [true, false] {
+            let mut fast = streaming_chip(iters, words, pad);
+            fast.set_translation(translate);
+            let got = fast.run(BUDGET).expect("fast run");
+            assert_eq!(got, want, "translation {translate}, {words} words");
+            assert_eq!(fast.cycle(), naive.cycle(), "translation {translate}");
+            if translate {
+                let ts = fast.translation_stats();
+                let ticked = got.cycles - ts.batched_cycles - fast.skipped_cycles();
+                assert!(
+                    ticked * 50 < got.cycles,
+                    "{ticked} of {} cycles ticked ({ts:?})",
+                    got.cycles
+                );
+            }
+        }
+    }
+}
+
+/// A link fault walls a sender in: its message can never leave, so the
+/// mesh stall probe crosses `MESH_STALL_TICKS` while a worker tile runs
+/// ahead in a window and nobody waits. The jumps must stop so that
+/// `MeshStall` fires on the reference's cycle.
+#[test]
+fn mesh_stall_lands_on_the_reference_cycle_inside_a_window() {
+    let [producer, _, worker] = STREAM_TILES;
+    let mut plan = FaultPlan::new(7);
+    for dir in [PortDir::East, PortDir::South] {
+        plan.push(
+            1,
+            FaultKind::MeshLinkFail {
+                tile: producer,
+                dir,
+                until: None,
+            },
+        );
+    }
+    let build = || {
+        let mut b = ProgramBuilder::new();
+        b.li(Reg::R3, 10);
+        b.li(Reg::R4, 0x100);
+        b.li(Reg::R5, 8);
+        b.send(Reg::R3, Reg::R4, Reg::R5);
+        b.halt();
+        let sender = b.build().expect("sender");
+        let mut chip = Chip::new(ChipConfig::stitch_16());
+        chip.load_program(producer, &sender).unwrap();
+        chip.load_program(worker, &spin_loop(20_000)).unwrap();
+        chip.set_fault_plan(plan.clone());
+        chip
+    };
+    let mut naive = build();
+    let want = naive.run_reference(BUDGET);
+    assert!(
+        matches!(
+            want,
+            Err(SimError::Faulted {
+                kind: FaultedKind::MeshStall,
+                ..
+            })
+        ),
+        "{want:?}"
+    );
+    for translate in [true, false] {
+        let mut fast = build();
+        fast.set_translation(translate);
+        assert_eq!(fast.run(BUDGET), want, "translation {translate}");
+        assert_eq!(fast.cycle(), naive.cycle(), "translation {translate}");
+        if translate {
+            let jumped = fast.translation_stats().batched_cycles + fast.skipped_cycles();
+            assert!(jumped > 9_000, "only {jumped} cycles jumped");
+        }
+    }
+}
+
+/// A `trips`-iteration `mul` loop, then `halt`.
+fn spin_loop(trips: i64) -> stitch_isa::Program {
+    let mut b = ProgramBuilder::new();
+    b.li(Reg::R20, trips);
+    let top = b.bound_label();
+    b.mul(Reg::R21, Reg::R20, Reg::R20);
+    b.addi(Reg::R20, Reg::R20, -1);
+    b.branch(Cond::Ne, Reg::R20, Reg::R0, top);
+    b.halt();
+    b.build().expect("spin loop")
 }

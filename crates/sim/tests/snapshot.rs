@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::{fused_chip, pipeline_chip, pipeline_sink, SINK_ADDR};
+use common::{fused_chip, pipeline_chip, pipeline_sink, streaming_chip, SINK_ADDR};
 use stitch_isa::{Cond, ProgramBuilder, Reg};
 use stitch_sim::{
     Chip, ChipSnapshot, FaultKind, FaultPlan, FaultSpace, SimError, SimRng, SnapshotError, TileId,
@@ -502,4 +502,71 @@ fn rollback_recovers_transient_circuit_fault_without_demotion() {
         sum.total_fused() < healthy_sum.total_fused(),
         "demoted run cannot be at full fused throughput"
     );
+}
+
+/// Runs the streaming workload until a message is in flight to the
+/// waiting consumer, then checkpoints it.
+fn in_flight_checkpoint() -> ChipSnapshot {
+    let mut donor = streaming_chip(4, 64, 150);
+    let mut stop = 0;
+    loop {
+        stop += 97;
+        let _ = donor.run(97);
+        let snap = donor.checkpoint();
+        if snap.mesh.stats.packets_sent > snap.mesh.stats.packets_delivered
+            && snap.waiting_on.iter().any(Option::is_some)
+        {
+            return snap;
+        }
+        assert!(stop < 100_000, "no message ever in flight");
+    }
+}
+
+/// A checkpoint taken with flits in flight and the consumer waiting
+/// resumes bit-identically on every engine: the window that follows the
+/// restore stops where the reference delivers.
+#[test]
+fn checkpoint_with_flits_in_flight_resumes_bit_identically() {
+    let snap = ChipSnapshot::decode(&in_flight_checkpoint().encode()).expect("round trip");
+    let mut reference = streaming_chip(4, 64, 150);
+    reference.restore(&snap).expect("restore");
+    let want = reference.run_reference(BUDGET).expect("reference run");
+    for translate in [true, false] {
+        let mut chip = streaming_chip(4, 64, 150);
+        chip.set_translation(translate);
+        chip.restore(&snap).expect("restore");
+        let got = chip.run(BUDGET).expect("fast run");
+        assert_eq!(got, want, "translation {translate}");
+        assert_eq!(chip.cycle(), reference.cycle(), "translation {translate}");
+        assert_eq!(
+            chip.peek_u32(TileId(10), SINK_ADDR),
+            reference.peek_u32(TileId(10), SINK_ADDR),
+            "translation {translate}: checksum"
+        );
+    }
+}
+
+/// Packet counters that disagree with the flits in flight are refused
+/// before the chip is touched: a mesh that claimed every packet
+/// delivered would read idle and freeze its flits.
+#[test]
+fn restore_rejects_forged_packet_counters_untouched() {
+    let good = in_flight_checkpoint();
+    for delivered in [
+        good.mesh.stats.packets_sent,
+        good.mesh.stats.packets_sent + 1,
+    ] {
+        let mut bad = good.clone();
+        bad.mesh.stats.packets_delivered = delivered;
+        let bad = ChipSnapshot::decode(&bad.encode()).expect("forged snapshot decodes");
+        let mut target = streaming_chip(4, 64, 150);
+        let before = target.checkpoint().encode();
+        assert!(
+            matches!(target.restore(&bad), Err(SnapshotError::Mesh(_))),
+            "{delivered} delivered accepted"
+        );
+        assert_eq!(target.checkpoint().encode(), before, "chip changed");
+        target.restore(&good).expect("genuine restore");
+        target.run(BUDGET).expect("restored chip completes");
+    }
 }
