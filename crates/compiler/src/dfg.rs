@@ -1,7 +1,6 @@
 //! Dataflow graphs of basic blocks.
 
 use crate::cfg::{BasicBlock, Cfg};
-use std::collections::HashMap;
 use stitch_cpu::MUL_LATENCY;
 use stitch_isa::instr::{Instr, Operand, Width};
 use stitch_isa::op::AluOp;
@@ -98,18 +97,16 @@ impl BlockDfg {
     pub fn build(program: &Program, _cfg: &Cfg, block: &BasicBlock) -> Self {
         let instrs = &program.instrs;
         let mut spm_ptrs = block.spm_ptrs_in.clone();
-        // Last in-block definition of each register.
-        let mut last_def: HashMap<Reg, usize> = HashMap::new();
+        // Last in-block definition of each register, by register index.
+        let mut last_def: [Option<usize>; 32] = [None; 32];
         let mut nodes: Vec<DfgNode> = Vec::with_capacity(block.len());
         let mut consumers: Vec<Vec<usize>> = Vec::with_capacity(block.len());
         let mut last_store: Option<usize> = None;
         let mut loads_since_store: Vec<usize> = Vec::new();
 
-        let src_of = |r: Reg, last_def: &HashMap<Reg, usize>| -> Src {
-            match last_def.get(&r) {
-                Some(&n) => Src::Node(n),
-                None => Src::Ext(r),
-            }
+        let def_of = |last_def: &[Option<usize>; 32], r: Reg| last_def[usize::from(r.index())];
+        let src_of = |r: Reg, last_def: &[Option<usize>; 32]| {
+            def_of(last_def, r).map_or(Src::Ext(r), Src::Node)
         };
 
         for (nid, i) in block.range().enumerate() {
@@ -146,7 +143,7 @@ impl BlockDfg {
             let mut data_preds: Vec<usize> = instr
                 .uses()
                 .iter()
-                .filter_map(|r| last_def.get(r).copied())
+                .filter_map(|&r| def_of(&last_def, r))
                 .collect();
             data_preds.sort_unstable();
             data_preds.dedup();
@@ -179,7 +176,7 @@ impl BlockDfg {
 
             // Register consumers bookkeeping.
             for r in instr.uses() {
-                if let Some(&p) = last_def.get(&r) {
+                if let Some(p) = def_of(&last_def, r) {
                     consumers[p].push(nid);
                 }
             }
@@ -204,7 +201,7 @@ impl BlockDfg {
                 loads_since_store.push(nid);
             }
             for d in instr.defs() {
-                last_def.insert(d, nid);
+                last_def[usize::from(d.index())] = Some(nid);
             }
             // Update SPM facts instruction by instruction.
             spm_ptrs = crate::cfg::transfer_spm(&spm_ptrs, &instrs[i..=i]);

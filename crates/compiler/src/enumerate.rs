@@ -5,6 +5,12 @@
 
 use crate::dfg::{BlockDfg, NodeOp, Src};
 use std::collections::HashSet;
+use stitch_isa::{FastBuildHasher, Reg};
+
+/// Register-port bounds of a custom instruction: at most four distinct
+/// external inputs, two outputs and one store (paper §IV).
+const MAX_INPUTS: usize = 4;
+const MAX_OUTPUTS: usize = 2;
 
 /// Enumeration bounds.
 #[derive(Debug, Clone, Copy)]
@@ -76,7 +82,7 @@ struct Ctx<'a> {
     reach: Vec<Mask>,
     eligible: Mask,
     limits: EnumerateLimits,
-    seen: HashSet<Mask>,
+    seen: HashSet<Mask, FastBuildHasher>,
     out: Vec<Candidate>,
 }
 
@@ -106,10 +112,14 @@ fn reachability(dfg: &BlockDfg) -> Vec<Mask> {
 
 /// Computes a candidate's interface; returns `None` when it violates the
 /// 4-in/2-out constraint or contains more than one store.
+///
+/// The interface is gathered into fixed arrays and the walk stops at the
+/// first bound it breaks, so only candidates that fit allocate.
 fn interface(dfg: &BlockDfg, set: Mask) -> Option<Candidate> {
-    let mut ext: Vec<Src> = Vec::new();
-    let mut outputs: Vec<usize> = Vec::new();
-    let mut nodes: Vec<usize> = Vec::new();
+    let mut ext = [Src::Ext(Reg::R0); MAX_INPUTS];
+    let mut n_ext = 0;
+    let mut outputs = [0usize; MAX_OUTPUTS];
+    let mut n_out = 0;
     let mut saved: u32 = 0;
     let mut stores = 0usize;
     let mut m = set;
@@ -117,35 +127,47 @@ fn interface(dfg: &BlockDfg, set: Mask) -> Option<Candidate> {
         let nid = m.trailing_zeros() as usize;
         m &= m - 1;
         let node = &dfg.nodes[nid];
-        nodes.push(nid);
         saved += node.cost;
         if node.op == NodeOp::Store {
             stores += 1;
+            if stores > 1 {
+                return None;
+            }
         }
         for s in &node.srcs {
             let is_ext = match s {
                 Src::Node(p) => set & bit(*p) == 0,
                 Src::Ext(_) => true,
             };
-            if is_ext && !ext.contains(s) {
-                ext.push(*s);
+            if is_ext && !ext[..n_ext].contains(s) {
+                *ext.get_mut(n_ext)? = *s;
+                n_ext += 1;
             }
         }
         // Output if consumed outside or live after the block.
         let outside_use = dfg.consumers[nid].iter().any(|&c| set & bit(c) == 0);
         if node.def.is_some() && (outside_use || dfg.live_after_block[nid]) {
-            outputs.push(nid);
+            *outputs.get_mut(n_out)? = nid;
+            n_out += 1;
         }
     }
-    if ext.len() > 4 || outputs.len() > 2 || stores > 1 {
-        return None;
-    }
     Some(Candidate {
-        nodes,
-        ext_inputs: ext,
-        outputs,
+        nodes: members(set),
+        ext_inputs: ext[..n_ext].to_vec(),
+        outputs: outputs[..n_out].to_vec(),
         saved_cycles: saved.saturating_sub(1),
     })
+}
+
+/// The node ids of `set`, ascending.
+fn members(set: Mask) -> Vec<usize> {
+    let mut nodes = Vec::with_capacity(set.count_ones() as usize);
+    let mut m = set;
+    while m != 0 {
+        nodes.push(m.trailing_zeros() as usize);
+        m &= m - 1;
+    }
+    nodes
 }
 
 /// `true` when `set` is convex: no path from inside leaves and re-enters.
@@ -214,13 +236,10 @@ fn grow(ctx: &mut Ctx<'_>, set: Mask, min_node: usize) {
             if c.len() >= 2 {
                 ctx.out.push(c);
             }
-            grow(ctx, next, min_node);
-        } else {
-            // Interface violation can be repaired by growing (an internal
-            // edge may disappear), so keep exploring a little: allow
-            // growth while under the node bound.
-            grow(ctx, next, min_node);
         }
+        // Grow past an interface violation too: it can be repaired by
+        // growing (an internal edge may disappear), within the node bound.
+        grow(ctx, next, min_node);
         if ctx.out.len() >= ctx.limits.max_candidates {
             return;
         }
@@ -247,7 +266,7 @@ pub fn enumerate_candidates(dfg: &BlockDfg, limits: EnumerateLimits) -> Vec<Cand
         dfg,
         eligible,
         limits,
-        seen: HashSet::new(),
+        seen: HashSet::default(),
         out: Vec::new(),
     };
     for seed in 0..dfg.len() {

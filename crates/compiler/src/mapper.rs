@@ -26,6 +26,7 @@ use crate::dfg::{BlockDfg, NodeOp, Src};
 use crate::enumerate::Candidate;
 use std::collections::HashMap;
 use stitch_isa::op::AluOp;
+use stitch_isa::FastBuildHasher;
 use stitch_patch::control::{Sel4, Stage1};
 use stitch_patch::{
     AtAsControl, AtMaControl, AtSaControl, ControlWord, LocusControl, LocusOp, PatchClass, T1Mode,
@@ -137,12 +138,8 @@ struct View {
 }
 
 fn build_view(dfg: &BlockDfg, cand: &Candidate) -> View {
-    let pos: HashMap<usize, usize> = cand
-        .nodes
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| (n, i))
-        .collect();
+    // View index of a block-level node (a candidate has at most eight).
+    let pos = |n: usize| cand.nodes.iter().position(|&x| x == n);
     let nodes = cand
         .nodes
         .iter()
@@ -152,8 +149,8 @@ fn build_view(dfg: &BlockDfg, cand: &Candidate) -> View {
                 .srcs
                 .iter()
                 .map(|s| match s {
-                    Src::Node(p) => match pos.get(p) {
-                        Some(&i) => CSrc::Internal(i),
+                    Src::Node(p) => match pos(*p) {
+                        Some(i) => CSrc::Internal(i),
                         None => CSrc::External(*s),
                     },
                     Src::Ext(_) => CSrc::External(*s),
@@ -173,7 +170,11 @@ fn build_view(dfg: &BlockDfg, cand: &Candidate) -> View {
         .collect();
     View {
         nodes,
-        outputs: cand.outputs.iter().map(|o| pos[o]).collect(),
+        outputs: cand
+            .outputs
+            .iter()
+            .map(|&o| pos(o).expect("candidate outputs are candidate members"))
+            .collect(),
         ext: cand.ext_inputs.clone(),
     }
 }
@@ -182,7 +183,7 @@ fn build_view(dfg: &BlockDfg, cand: &Candidate) -> View {
 // Per-patch synthesis
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Unit {
     A1,
     T1,
@@ -226,7 +227,9 @@ struct PatchSynth {
     out1: Wire,
 }
 
-type UnitAssign = HashMap<Unit, usize>;
+/// The view node each functional unit computes, indexed by
+/// `Unit as usize` (`None` = the unit is idle).
+type UnitAssign = [Option<usize>; 5];
 
 /// Maps external values to input slots for one patch.
 #[derive(Debug, Clone)]
@@ -274,11 +277,11 @@ fn synth_patch(
     want_out1_pass: Option<CSrc>,
     a1_pass_choice: Option<CSrc>,
 ) -> Option<PatchSynth> {
-    let a1_node = assign.get(&Unit::A1).copied();
-    let t1_node = assign.get(&Unit::T1).copied();
-    let m_node = assign.get(&Unit::M).copied();
-    let a2_node = assign.get(&Unit::A2).copied();
-    let s_node = assign.get(&Unit::S).copied();
+    let a1_node = assign[Unit::A1 as usize];
+    let t1_node = assign[Unit::T1 as usize];
+    let m_node = assign[Unit::M as usize];
+    let a2_node = assign[Unit::A2 as usize];
+    let s_node = assign[Unit::S as usize];
 
     // ---- stage 1 --------------------------------------------------------
     let mut a1_pass: Option<CSrc> = None;
@@ -614,26 +617,61 @@ fn unit_assignments(class: PatchClass, nodes: &[CNode]) -> Vec<UnitAssign> {
         out: &mut Vec<UnitAssign>,
     ) {
         if idx == nodes.len() {
-            out.push(current.clone());
+            out.push(*current);
             return;
         }
         for &u in units {
-            if current.contains_key(&u) || !unit_accepts(u, nodes[idx].op) {
+            if current[u as usize].is_some() || !unit_accepts(u, nodes[idx].op) {
                 continue;
             }
-            current.insert(u, idx);
+            current[u as usize] = Some(idx);
             rec(units, nodes, idx + 1, current, out);
-            current.remove(&u);
+            current[u as usize] = None;
         }
     }
     let mut out = Vec::new();
-    rec(units_for(class), nodes, 0, &mut HashMap::new(), &mut out);
+    rec(units_for(class), nodes, 0, &mut [None; 5], &mut out);
     out
 }
 
+/// A set of input slots as a bitmask: bit `s` allows slot `s`.
+type SlotSet = u8;
+
+/// Every input slot.
+const ANY_SLOT: SlotSet = 0b1111;
+
+/// The one-slot set `{s}`.
+fn only_slot(s: u8) -> SlotSet {
+    1 << s
+}
+
 /// Slot-choice constraints: each external may be restricted to a set of
-/// slots (store data -> `{2}`, ride-alongs -> `{2, 3}`, ...).
-type Pinned = HashMap<CSrc, Vec<u8>>;
+/// slots (store data -> `{2}`, ride-alongs -> `{2, 3}`, ...). At most
+/// four externals are pinned at once: store data and two ride-alongs on
+/// a first patch, or two carried values and two ride-alongs on a second.
+#[derive(Default)]
+struct Pinned {
+    pins: [Option<(CSrc, SlotSet)>; 4],
+}
+
+impl Pinned {
+    /// The slots `e` is restricted to, if it is pinned.
+    fn get(&self, e: CSrc) -> Option<SlotSet> {
+        self.pins.iter().flatten().find(|p| p.0 == e).map(|p| p.1)
+    }
+
+    /// Pins `e` to `slots`, replacing an earlier pin of `e`.
+    fn insert(&mut self, e: CSrc, slots: SlotSet) {
+        // Pins are never removed, so the first free entry follows every
+        // used one.
+        let at = self
+            .pins
+            .iter()
+            .position(|p| p.is_none_or(|p| p.0 == e))
+            .expect("at most four externals are pinned at once");
+        self.pins[at] = Some((e, slots));
+    }
+}
 
 fn slot_maps(ext: &[CSrc], pinned: &Pinned) -> Vec<SlotMap> {
     fn rec(ext: &[CSrc], idx: usize, pinned: &Pinned, map: &mut SlotMap, out: &mut Vec<SlotMap>) {
@@ -642,12 +680,9 @@ fn slot_maps(ext: &[CSrc], pinned: &Pinned) -> Vec<SlotMap> {
             return;
         }
         let e = ext[idx];
-        let slots: Vec<u8> = match pinned.get(&e) {
-            Some(s) => s.clone(),
-            None => (0..4).collect(),
-        };
-        for s in slots {
-            if map.ext_of_slot[s as usize].is_none() {
+        let allowed = pinned.get(e).unwrap_or(ANY_SLOT);
+        for s in 0..4u8 {
+            if allowed & only_slot(s) != 0 && map.ext_of_slot[s as usize].is_none() {
                 map.ext_of_slot[s as usize] = Some(e);
                 rec(ext, idx + 1, pinned, map, out);
                 map.ext_of_slot[s as usize] = None;
@@ -704,8 +739,10 @@ impl ViewKey {
 /// identical views recur constantly. The search is a pure function of
 /// the key, so concurrent misses at worst duplicate work — they cannot
 /// disagree.
-static MAP_CACHE: std::sync::OnceLock<std::sync::Mutex<HashMap<ViewKey, Option<Mapping>>>> =
-    std::sync::OnceLock::new();
+static MAP_CACHE: std::sync::OnceLock<std::sync::Mutex<MapTable>> = std::sync::OnceLock::new();
+
+/// Search results by view; only looked up by key, never iterated.
+type MapTable = HashMap<ViewKey, Option<Mapping>, FastBuildHasher>;
 
 /// Tries to map `cand` onto `config`, returning a synthesized
 /// [`Mapping`]. The mapping is not proven here: [`crate::accelerate_all`]
@@ -714,7 +751,7 @@ static MAP_CACHE: std::sync::OnceLock<std::sync::Mutex<HashMap<ViewKey, Option<M
 pub fn map_candidate(dfg: &BlockDfg, cand: &Candidate, config: PatchConfig) -> Option<Mapping> {
     let view = build_view(dfg, cand);
     let key = ViewKey::new(&view, config);
-    let cache = MAP_CACHE.get_or_init(|| std::sync::Mutex::new(HashMap::new()));
+    let cache = MAP_CACHE.get_or_init(|| std::sync::Mutex::new(HashMap::default()));
     if let Some(hit) = cache
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -735,13 +772,11 @@ pub fn map_candidate(dfg: &BlockDfg, cand: &Candidate, config: PatchConfig) -> O
 }
 
 fn pin_store_data(view: &View, assign: &UnitAssign) -> Option<Pinned> {
-    let mut pinned = Pinned::new();
-    if let Some(&t) = assign.get(&Unit::T1) {
+    let mut pinned = Pinned::default();
+    if let Some(t) = assign[Unit::T1 as usize] {
         if view.nodes[t].op == NodeOp::Store {
             match view.nodes[t].srcs[1] {
-                e @ CSrc::External(_) => {
-                    pinned.insert(e, vec![2]);
-                }
+                e @ CSrc::External(_) => pinned.insert(e, only_slot(2)),
                 CSrc::Internal(_) | CSrc::Busy => return None,
             }
         }
@@ -977,7 +1012,9 @@ fn try_pair_split(
         for r in &ride {
             // Store-data pin (slot 2) wins if the ride is also the store
             // data; both constraints are compatible since 2 is in {2,3}.
-            pinned1.entry(*r).or_insert_with(|| vec![2, 3]);
+            if pinned1.get(*r).is_none() {
+                pinned1.insert(*r, only_slot(2) | only_slot(3));
+            }
         }
         for slots1 in slot_maps(&ext1, &pinned1) {
             for a1p in a1_choices(&ext1) {
@@ -1003,9 +1040,10 @@ fn try_pair_split(
                         continue;
                     }
 
-                    let mut pinned2 = Pinned::new();
+                    let mut pinned2 = Pinned::default();
                     for &(c, port) in &arr {
-                        pinned2.insert(CSrc::External(Src::Node(view.nodes[c].id)), vec![port]);
+                        let key = CSrc::External(Src::Node(view.nodes[c].id));
+                        pinned2.insert(key, only_slot(port));
                     }
                     let Some(ride_slots) = ride
                         .iter()
@@ -1015,7 +1053,7 @@ fn try_pair_split(
                         continue; // a ride-along the slot map never placed
                     };
                     for (r, s) in ride.iter().zip(ride_slots) {
-                        pinned2.insert(*r, vec![s]);
+                        pinned2.insert(*r, only_slot(s));
                     }
                     let ext2: Vec<CSrc> = v2.ext.iter().map(|e| CSrc::External(*e)).collect();
                     let pass = s1_escapes
@@ -1130,11 +1168,11 @@ fn map_locus_view(view: &View) -> Option<Mapping> {
         return None;
     }
     let mut input_slots = [None; 4];
-    let mut slot_of: HashMap<Src, u8> = HashMap::new();
     for (i, e) in view.ext.iter().enumerate() {
         input_slots[i] = Some(*e);
-        slot_of.insert(*e, i as u8);
     }
+    // Externals are distinct, so each sits in the slot of its position.
+    let slot_of = |e: Src| view.ext.iter().position(|&x| x == e).map(|i| i as u8);
     let mut ops = Vec::new();
     for (i, n) in view.nodes.iter().enumerate() {
         let op = n.alu?;
@@ -1143,7 +1181,7 @@ fn map_locus_view(view: &View) -> Option<Mapping> {
         }
         let code = |s: CSrc| -> Option<u8> {
             match s {
-                CSrc::External(e) => slot_of.get(&e).copied(),
+                CSrc::External(e) => slot_of(e),
                 CSrc::Internal(j) if j < i => Some(4 + j as u8),
                 CSrc::Internal(_) | CSrc::Busy => None,
             }
@@ -1325,6 +1363,185 @@ mod tests {
         let m = map_candidate(&dfg, cand, PatchConfig::Single(PatchClass::AtMa))
             .expect("store chain maps");
         assert_eq!(m.input_slots[2], Some(Src::Ext(Reg::R5)));
+    }
+
+    /// The search drivers as they were over hashed containers: a unit
+    /// assignment as a map from unit to node, a pin as a slot list.
+    fn unit_assignments_reference(
+        class: PatchClass,
+        nodes: &[CNode],
+    ) -> Vec<HashMap<usize, usize>> {
+        fn rec(
+            units: &[Unit],
+            nodes: &[CNode],
+            idx: usize,
+            current: &mut HashMap<usize, usize>,
+            out: &mut Vec<HashMap<usize, usize>>,
+        ) {
+            if idx == nodes.len() {
+                out.push(current.clone());
+                return;
+            }
+            for &u in units {
+                if current.contains_key(&(u as usize)) || !unit_accepts(u, nodes[idx].op) {
+                    continue;
+                }
+                current.insert(u as usize, idx);
+                rec(units, nodes, idx + 1, current, out);
+                current.remove(&(u as usize));
+            }
+        }
+        let mut out = Vec::new();
+        rec(units_for(class), nodes, 0, &mut HashMap::new(), &mut out);
+        out
+    }
+
+    fn slot_maps_reference(
+        ext: &[CSrc],
+        pinned: &HashMap<CSrc, Vec<u8>>,
+    ) -> Vec<[Option<CSrc>; 4]> {
+        fn rec(
+            ext: &[CSrc],
+            idx: usize,
+            pinned: &HashMap<CSrc, Vec<u8>>,
+            map: &mut [Option<CSrc>; 4],
+            out: &mut Vec<[Option<CSrc>; 4]>,
+        ) {
+            if idx == ext.len() {
+                out.push(*map);
+                return;
+            }
+            let e = ext[idx];
+            let slots: Vec<u8> = match pinned.get(&e) {
+                Some(s) => s.clone(),
+                None => (0..4).collect(),
+            };
+            for s in slots {
+                if map[s as usize].is_none() {
+                    map[s as usize] = Some(e);
+                    rec(ext, idx + 1, pinned, map, out);
+                    map[s as usize] = None;
+                }
+            }
+        }
+        let mut out = Vec::new();
+        rec(ext, 0, pinned, &mut [None; 4], &mut out);
+        out
+    }
+
+    /// Every sequence of `len` items drawn from `0..choices`, in
+    /// lexicographic order.
+    fn sequences(choices: usize, len: usize) -> Vec<Vec<usize>> {
+        (0..len).fold(vec![vec![]], |acc, _| {
+            acc.iter()
+                .flat_map(|prefix| {
+                    (0..choices).map(move |c| {
+                        let mut next = prefix.clone();
+                        next.push(c);
+                        next
+                    })
+                })
+                .collect()
+        })
+    }
+
+    #[test]
+    fn unit_assignments_match_the_map_based_search() {
+        let ops = [
+            NodeOp::Alu(AluOp::Add),
+            NodeOp::Alu(AluOp::Sll),
+            NodeOp::Alu(AluOp::Mul),
+            NodeOp::Load,
+            NodeOp::Store,
+            NodeOp::Other,
+        ];
+        let mut assignments = 0;
+        for len in 0..=5 {
+            for seq in sequences(ops.len(), len) {
+                let nodes: Vec<CNode> = seq
+                    .iter()
+                    .enumerate()
+                    .map(|(id, &o)| CNode {
+                        id,
+                        op: ops[o],
+                        alu: None,
+                        srcs: Vec::new(),
+                    })
+                    .collect();
+                for class in PatchClass::STITCH {
+                    let want: Vec<UnitAssign> = unit_assignments_reference(class, &nodes)
+                        .iter()
+                        .map(|m| {
+                            let mut a = [None; 5];
+                            for (&u, &n) in m {
+                                a[u] = Some(n);
+                            }
+                            a
+                        })
+                        .collect();
+                    let got = unit_assignments(class, &nodes);
+                    assert_eq!(got, want, "{class} over {seq:?}");
+                    assignments += got.len();
+                }
+            }
+        }
+        assert!(assignments > 0, "the sweep must reach real assignments");
+    }
+
+    #[test]
+    fn slot_maps_match_the_map_based_search() {
+        let ext: Vec<CSrc> = [Reg::R1, Reg::R2, Reg::R3, Reg::R4, Reg::R5]
+            .iter()
+            .map(|&r| CSrc::External(Src::Ext(r)))
+            .collect();
+        // Pin choices per external: unpinned, or one of the slot lists
+        // the mapper pins (store data, ride-alongs, carried ports).
+        let pins: [Option<&[u8]>; 6] = [
+            None,
+            Some(&[2]),
+            Some(&[2, 3]),
+            Some(&[0]),
+            Some(&[1]),
+            Some(&[3]),
+        ];
+        let mut maps = 0;
+        for len in 0..=5 {
+            for seq in sequences(pins.len(), len) {
+                if seq.iter().filter(|&&p| pins[p].is_some()).count() > 4 {
+                    continue; // the mapper never pins more than four
+                }
+                let mut reference = HashMap::new();
+                let mut pinned = Pinned::default();
+                for (e, &p) in ext.iter().zip(&seq) {
+                    if let Some(slots) = pins[p] {
+                        reference.insert(*e, slots.to_vec());
+                        pinned.insert(*e, slots.iter().fold(0, |m, &s| m | only_slot(s)));
+                    }
+                }
+                let got: Vec<[Option<CSrc>; 4]> = slot_maps(&ext[..len], &pinned)
+                    .iter()
+                    .map(|m| m.ext_of_slot)
+                    .collect();
+                assert_eq!(got, slot_maps_reference(&ext[..len], &reference), "{seq:?}");
+                maps += got.len();
+            }
+        }
+        assert!(maps > 1000, "the sweep must reach real slot maps");
+    }
+
+    #[test]
+    fn a_later_pin_replaces_an_earlier_one() {
+        let (a, b) = (
+            CSrc::External(Src::Ext(Reg::R1)),
+            CSrc::External(Src::Ext(Reg::R2)),
+        );
+        let mut pinned = Pinned::default();
+        pinned.insert(a, only_slot(2));
+        pinned.insert(b, ANY_SLOT);
+        pinned.insert(a, only_slot(3));
+        assert_eq!(pinned.get(a), Some(only_slot(3)));
+        assert_eq!(pinned.get(b), Some(ANY_SLOT));
+        assert_eq!(pinned.get(CSrc::Busy), None);
     }
 
     #[test]

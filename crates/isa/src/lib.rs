@@ -15,7 +15,9 @@
 //! - [`asm`] — a small text assembler for the same mnemonics;
 //! - [`rec`] — the little-endian record codec every binary artifact of
 //!   the workspace (store files, verified artifacts, sweep points, chip
-//!   snapshots) is written and read with, with typed decode errors.
+//!   snapshots) is written and read with, with typed decode errors;
+//! - [`hash`] — the one fast deterministic hasher for maps keyed by
+//!   values the program makes itself.
 //!
 //! Operations are classified into the paper's four groups via
 //! [`op::OpClass`]: arithmetic/logic (`A`), shift (`S`), multiply (`M`) and
@@ -41,6 +43,7 @@
 pub mod asm;
 pub mod custom;
 pub mod encode;
+pub mod hash;
 pub mod instr;
 pub mod op;
 pub mod program;
@@ -49,6 +52,7 @@ pub mod reg;
 
 pub use custom::{CiDescriptor, CiId, CiTable, CustomInstr};
 pub use encode::{decode, decode_program, encode, encode_program};
+pub use hash::{FastBuildHasher, FastHasher};
 pub use instr::{Cond, Instr, Operand, Width};
 pub use op::{AluOp, OpClass};
 pub use program::{Program, ProgramBuilder};

@@ -1,39 +1,17 @@
 //! Sparse DRAM backing store.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use stitch_isa::FastBuildHasher;
 
 const PAGE_BITS: u32 = 12;
 /// Bytes per DRAM page (the granularity of allocation and snapshots).
 pub const PAGE_SIZE: usize = 1 << PAGE_BITS;
 
-/// Fibonacci multiply-shift hasher for the `u32` page keys.
-///
-/// Every simulated load/store resolves a page, so the default SipHash is
-/// a measurable per-instruction cost; page indices are small dense
-/// integers for which multiplicative hashing distributes fine.
-#[derive(Default)]
-struct PageHasher(u64);
-
-impl Hasher for PageHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.0 = u64::from(n)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .rotate_left(32);
-    }
-}
-
-type PageMap = HashMap<u32, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>;
+/// Resident pages by page index. Every simulated load/store resolves a
+/// page, so the default SipHash would be a measurable per-instruction
+/// cost; page indices are small dense integers for which the workspace's
+/// multiplicative [`stitch_isa::FastHasher`] distributes fine.
+type PageMap = HashMap<u32, Box<[u8; PAGE_SIZE]>, FastBuildHasher>;
 
 /// A sparsely allocated, byte-addressable main memory.
 ///

@@ -54,6 +54,29 @@ impl MapSpm {
         }
     }
 
+    /// Resets every word to `preset` followed by zeros: word `i` of the
+    /// dense window reads `preset[i]`, every other word reads 0, exactly
+    /// as a new scratchpad after `set(4 * i, preset[i])` for each `i`.
+    /// Keeps the allocation, so a caller running many trials builds its
+    /// scratchpads once.
+    ///
+    /// # Panics
+    ///
+    /// If `preset` is longer than the dense window (1,024 words).
+    pub fn reset(&mut self, preset: &[u32]) {
+        let (head, tail) = self.dense.split_at_mut(preset.len());
+        head.copy_from_slice(preset);
+        tail.fill(0);
+        self.sparse.clear();
+    }
+
+    /// The dense window, the low 4 KiB: element `i` is the word at byte
+    /// offset `4 * i`.
+    #[must_use]
+    pub fn dense_words(&self) -> &[u32] {
+        &self.dense
+    }
+
     /// Reads back a word without counting as an access.
     #[must_use]
     pub fn get(&self, offset: u32) -> u32 {
@@ -260,6 +283,26 @@ mod tests {
         // The port view agrees with `get`/`set`.
         SpmPort::store(&mut spm, 0x2001, 7);
         assert_eq!(SpmPort::load(&mut spm, 0x2000), 7);
+    }
+
+    #[test]
+    fn reset_matches_a_fresh_preset_scratchpad() {
+        let preset: Vec<u32> = (1..=512).collect();
+        let mut fresh = MapSpm::new();
+        for (i, &v) in preset.iter().enumerate() {
+            fresh.set(4 * i as u32, v);
+        }
+        // Dirty both tiers, then reset.
+        let mut reused = MapSpm::new();
+        for offset in [0, 2044, 2048, 4092, 4096, 0xFFFF_FFFC] {
+            reused.set(offset, 0xDEAD);
+        }
+        reused.reset(&preset);
+        assert_eq!(reused.dense_words(), fresh.dense_words());
+        assert_eq!(reused.dense_words().len(), DENSE_WORDS);
+        for offset in [0, 2044, 2048, 4092, 4096, 0xFFFF_FFFC] {
+            assert_eq!(reused.get(offset), fresh.get(offset), "{offset:#x}");
+        }
     }
 
     #[test]

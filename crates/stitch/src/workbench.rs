@@ -977,6 +977,187 @@ mod tests {
         }
     }
 
+    /// SHA-256 of the store encodings the compile layers produce: each
+    /// distinct kernel of `App::all()` compiled over `PatchConfig::all()`
+    /// (`encode_kernel_artifact` with its verify report), then each
+    /// Fig 12 grid point's prepared bundle at `DEFAULT_FRAMES`
+    /// (`encode_prepared`). A change that moves any compiled bit fails
+    /// `compile_outputs_match_pinned_digests`; a deliberate model
+    /// change re-pins from the table the failure prints and says why.
+    const PINNED_DIGESTS: &[(&str, &str)] = &[
+        (
+            "kernel update/128x128",
+            "c9006673d839539b214f6ccecde146768815aabfeb6f50d0fd99301e82e6f173",
+        ),
+        (
+            "kernel fft/128x128",
+            "0a1257266440e49f448c599f914b669c7e7f8970251c703178563910144fbcc8",
+        ),
+        (
+            "kernel update/768x768",
+            "21a9e5149986f41294e7e0f34da3836d2915429c9bf1e79ebcf24efe2c326cd3",
+        ),
+        (
+            "kernel fir/256x249",
+            "3834768e1b50157931203e26ca174bfd6a5f878cad2caedde3730eb179889756",
+        ),
+        (
+            "kernel ifft/128x192",
+            "1a24ecb1aa7370b97cf924b499508aec3d20cf9d5990dad45f17fe8b7bfce4cf",
+        ),
+        (
+            "kernel classify/192x5",
+            "e73c9882320da3bc67310c7d52419f23e62565643697fc780ff784585731567d",
+        ),
+        (
+            "kernel 2dconv/256x196",
+            "d274ef882a8d12a0a1f802baf12e4ba1c9c7709b64c3022d8a7ff407f27316cd",
+        ),
+        (
+            "kernel pool/832x208",
+            "8857bb191b2a74ba58dc82a6d6b2561892b29392cad277f6a77fd0044a6efe0f",
+        ),
+        (
+            "kernel pool/208x52",
+            "768f637a9eeafecb26be2b629d7cc7462eef39eb570ea925774f2fb5ff98e7fc",
+        ),
+        (
+            "kernel fc/52x10",
+            "45dc27612c9fa955fa3d6ccccb96986489915a3a07671788619e15a756065094",
+        ),
+        (
+            "kernel histogram/768x256",
+            "bb755951530ecc8cf5bd60f0feae442584de01cf09fc246985bd96eb797b2d57",
+        ),
+        (
+            "kernel svm/64x5",
+            "c653d7c3ef1e7b81d351e106c5eff77a048992874bbbff13d08e1e3a36d395ac",
+        ),
+        (
+            "kernel aes/16x16",
+            "ee3086ec3d35b7f55b04fd243abdc3bf23438017fc38e3da62dbf5b0e1056125",
+        ),
+        (
+            "kernel crc/32x1",
+            "d8f817c886c1058eb323583caffddbf703cbc14c19631bbfc609208f25e91dd7",
+        ),
+        (
+            "kernel aesdec/16x16",
+            "dde4eafbbfdf221fed1dbb75f1d55b52cdb58477df55583a5be6a37b2fce7528",
+        ),
+        (
+            "kernel dtw/128x1",
+            "580ff1bf902bf9b91620eecd3978a366397cfe1358ad41af74beea3a6676b948",
+        ),
+        (
+            "kernel svm/5x4",
+            "44debf64e0f3bce2cdfc72bd61b5ce8daaa5b9f6c4eb00d17787f2bafed275da",
+        ),
+        (
+            "point APP1/Baseline",
+            "90b2a5ff6ac5dace4d5453ebd8082302f345609a7e679be132f3dcb7b8d14fb1",
+        ),
+        (
+            "point APP1/Locus",
+            "6044cdb1ee353a047a0e8a56b018e2830cc37114d4d79f8b55c0e308d0c37519",
+        ),
+        (
+            "point APP1/StitchNoFusion",
+            "68a0185ef3c627c28c801c9efa9d414bacbea2bf3709eb1063714e1234f89119",
+        ),
+        (
+            "point APP1/Stitch",
+            "f63d1c41f81518aba41ae95ea65cd93de63ee7d379046c8151248610f8f38090",
+        ),
+        (
+            "point APP2/Baseline",
+            "708f5bf7395a1a75f1abb0883ec0d0ba83af2e68ec416e585c6691c15fbaec02",
+        ),
+        (
+            "point APP2/Locus",
+            "7c7bc11561bdb86a2a77323e9842be8797f48979bc7768cf06c8c95e199ae74c",
+        ),
+        (
+            "point APP2/StitchNoFusion",
+            "b6aad1fb48f7e439e2e57a95be00fff02b54f3def4cc8ba84580af2ba712f43a",
+        ),
+        (
+            "point APP2/Stitch",
+            "5d12355b0e1c270e0a69d3e58f7fea7507507953c1c39037d95160ef1e6921c7",
+        ),
+        (
+            "point APP3/Baseline",
+            "e077ac9c13ff351aec825ffd6617e85265b2ea5f065048d6b2353d50d355ae05",
+        ),
+        (
+            "point APP3/Locus",
+            "44886c8eb993605259133313d319d88d7cf92a3562a81db7b80a96aaacdd32c7",
+        ),
+        (
+            "point APP3/StitchNoFusion",
+            "4845fb7be8c07ab84321e5787bbc14dacf8645ca22c671c58a35ec88c63f3903",
+        ),
+        (
+            "point APP3/Stitch",
+            "b6ba2ce6aa866c28a3e156a3e5c27a3cf0a39c78a5efaf6c3e40cae796de6a3e",
+        ),
+        (
+            "point APP4/Baseline",
+            "77a6e3847697d6c26a9e5588c1e98c78224ce0ce22259c199f4cc71cedd17272",
+        ),
+        (
+            "point APP4/Locus",
+            "363ee045ed146144e6fd7df0cec60638b50c2daf287975b1db79a7a001f7f7dc",
+        ),
+        (
+            "point APP4/StitchNoFusion",
+            "0f3bef3d510ea9988ef0094a11257163c0ff49bc9e234b4be4933236b7445cc6",
+        ),
+        (
+            "point APP4/Stitch",
+            "fe75b9d587effece62921b92b7a990b8daee7b9e010fdbf0129e937e37a8b3be",
+        ),
+    ];
+
+    #[test]
+    fn compile_outputs_match_pinned_digests() {
+        let apps = App::all();
+        let mut wb = Workbench::new();
+        let mut got: Vec<(String, String)> = Vec::new();
+        for node in apps.iter().flat_map(|a| &a.nodes) {
+            let kernel = node.kernel.as_ref();
+            let label = format!("kernel {}", Workbench::cache_key(kernel));
+            if got.iter().any(|(l, _)| *l == label) {
+                continue;
+            }
+            let kv = wb.variants(kernel).expect("kernel compiles");
+            let bytes = stitch_compiler::encode_kernel_artifact(&kv, &verify_kernel(&kv))
+                .expect("kernel artifact encodes");
+            got.push((label, stitch_cache::sha256_hex(&bytes)));
+        }
+        for p in Workbench::full_grid(&apps) {
+            let app = &apps[p.app];
+            let prepared = wb
+                .prepare(app, p.arch, crate::DEFAULT_FRAMES, None)
+                .expect("grid point prepares");
+            let bytes = encode_prepared(&prepared.plan, &prepared.loads, &prepared.clean_report)
+                .expect("prepared bundle encodes");
+            got.push((
+                format!("point {}/{:?}", app.name, p.arch),
+                stitch_cache::sha256_hex(&bytes),
+            ));
+        }
+        let want: Vec<(String, String)> = PINNED_DIGESTS
+            .iter()
+            .map(|&(l, d)| (l.to_string(), d.to_string()))
+            .collect();
+        let table: String = got
+            .iter()
+            .map(|(l, d)| format!("        (\"{l}\", \"{d}\"),\n"))
+            .collect();
+        assert_eq!(got, want, "compile outputs moved; today's table:\n{table}");
+    }
+
     #[test]
     fn clones_share_compiled_kernels() {
         let dir = std::env::temp_dir().join(format!("stitch-wb-memo-{}", std::process::id()));

@@ -114,9 +114,10 @@ pub struct IseCheck {
 /// instruction it ships.
 const DIFF_TRIALS: u64 = 64;
 /// SPM words preset per trial.
-const SPM_PRESET_WORDS: u32 = 512;
-/// SPM words compared after each trial.
-const SPM_COMPARE_WORDS: u32 = 1024;
+const SPM_PRESET_WORDS: usize = 512;
+/// SPM words compared after each trial: the whole dense window of a
+/// [`MapSpm`], so stores past the preset are compared too.
+const SPM_COMPARE_WORDS: usize = 1024;
 
 /// What an obligation's verdict depends on: the subgraph and the
 /// mapping. The name and ci only label diagnostics.
@@ -325,9 +326,9 @@ fn structural(check: &IseCheck) -> Report {
 }
 
 /// Reference interpretation of the subgraph (the compiler's substituted
-/// scalar semantics: a store's value is its address).
-fn reference_eval(sub: &IseSubgraph, ext: &[u32], spm: &mut MapSpm) -> Vec<u32> {
-    let mut vals: Vec<u32> = Vec::with_capacity(sub.nodes.len());
+/// scalar semantics: a store's value is its address), into `vals`.
+fn reference_eval(sub: &IseSubgraph, ext: &[u32], spm: &mut MapSpm, vals: &mut Vec<u32>) {
+    vals.clear();
     for node in &sub.nodes {
         let v = |s: &IseOperand| match *s {
             IseOperand::Node(j) => vals[j],
@@ -347,27 +348,31 @@ fn reference_eval(sub: &IseSubgraph, ext: &[u32], spm: &mut MapSpm) -> Vec<u32> 
         };
         vals.push(out);
     }
-    vals
 }
 
+/// Runs the differential trials. Both scratchpads are built once and
+/// reset from the same preset before every trial, so each trial starts
+/// from identical memory, exactly as two freshly preset scratchpads.
 fn differential(check: &IseCheck, seed: u64) -> Report {
     let mut report = Report::new();
     let sub = &check.subgraph;
     let map = &check.mapping;
     // A xorshift state of 0 would stay 0.
     let mut rng = XorShift(seed | 1);
+    let mut ext = vec![0u32; sub.n_ext];
+    let mut preset = [0u32; SPM_PRESET_WORDS];
+    let mut ref_vals = Vec::with_capacity(sub.nodes.len());
+    let (mut spm_ref, mut spm_patch) = (MapSpm::new(), MapSpm::new());
     for trial in 0..DIFF_TRIALS {
-        let ext: Vec<u32> = (0..sub.n_ext)
-            .map(|_| (rng.next() as u32 % 1024) & !3)
-            .collect();
-        let mut spm_ref = MapSpm::new();
-        let mut spm_patch = MapSpm::new();
-        for i in 0..SPM_PRESET_WORDS {
-            let v = rng.next() as u32;
-            spm_ref.set(i * 4, v);
-            spm_patch.set(i * 4, v);
+        for e in &mut ext {
+            *e = (rng.next() as u32 % 1024) & !3;
         }
-        let ref_vals = reference_eval(sub, &ext, &mut spm_ref);
+        for w in &mut preset {
+            *w = rng.next() as u32;
+        }
+        spm_ref.reset(&preset);
+        spm_patch.reset(&preset);
+        reference_eval(sub, &ext, &mut spm_ref, &mut ref_vals);
 
         let mut ins = [0u32; 4];
         for (slot, ext_id) in map.input_slots.iter().enumerate() {
@@ -398,22 +403,37 @@ fn differential(check: &IseCheck, seed: u64) -> Report {
                 return report;
             }
         }
-        for i in 0..SPM_COMPARE_WORDS {
-            let (a, b) = (spm_ref.get(i * 4), spm_patch.get(i * 4));
-            if a != b {
-                report.push(Diagnostic::error(
-                    "ISE-DIFF",
-                    Span::Ci(check.ci),
-                    format!(
-                        "`{}`: trial {trial} SPM word {i} diverges (patch {b:#x}, reference {a:#x})",
-                        check.name
-                    ),
-                ));
-                return report;
-            }
+        if let Some(d) = spm_divergence(check, trial, &spm_ref, &spm_patch) {
+            report.push(d);
+            return report;
         }
     }
     report
+}
+
+/// Compares the first [`SPM_COMPARE_WORDS`] words of the two
+/// scratchpads after a trial; on a mismatch, the `ISE-DIFF` error names
+/// the lowest diverging word.
+fn spm_divergence(
+    check: &IseCheck,
+    trial: u64,
+    spm_ref: &MapSpm,
+    spm_patch: &MapSpm,
+) -> Option<Diagnostic> {
+    let want = &spm_ref.dense_words()[..SPM_COMPARE_WORDS];
+    let got = &spm_patch.dense_words()[..SPM_COMPARE_WORDS];
+    if want == got {
+        return None;
+    }
+    let i = want.iter().zip(got).position(|(a, b)| a != b)?;
+    Some(Diagnostic::error(
+        "ISE-DIFF",
+        Span::Ci(check.ci),
+        format!(
+            "`{}`: trial {trial} SPM word {i} diverges (patch {:#x}, reference {:#x})",
+            check.name, got[i], want[i]
+        ),
+    ))
 }
 
 // ---- symbolic evaluation ---------------------------------------------------
@@ -809,6 +829,119 @@ mod tests {
         bad.mapping.input_slots = [Some(0), Some(1), Some(1), None];
         let r = check_ise(&bad);
         assert!(r.has_error("ISE-DIFF"), "{r}");
+    }
+
+    /// `spm[in0 + in1] = in2` on an `{AT-MA}` patch whose stage-1 ALU
+    /// computes the address with `a1_op`; `Add` is the correct mapping.
+    fn store_check(a1_op: AluOp) -> IseCheck {
+        let sub = IseSubgraph {
+            nodes: vec![
+                IseNode {
+                    op: IseOp::Alu(AluOp::Add),
+                    srcs: vec![IseOperand::Ext(0), IseOperand::Ext(1)],
+                },
+                IseNode {
+                    op: IseOp::Store,
+                    srcs: vec![IseOperand::Node(0), IseOperand::Ext(2)],
+                },
+            ],
+            n_ext: 3,
+        };
+        let cw = ControlWord::AtMa(AtMaControl {
+            s1: Stage1 {
+                a1_op,
+                a1_src1: 0,
+                a1_src2: 1,
+                t1: T1Mode::Store,
+            },
+            ..AtMaControl::default()
+        });
+        IseCheck {
+            name: "spm_store".into(),
+            ci: 4,
+            subgraph: sub,
+            mapping: IseMapping {
+                controls: vec![cw],
+                input_slots: [Some(0), Some(1), Some(2), None],
+                outputs: Vec::new(),
+            },
+        }
+    }
+
+    #[test]
+    fn misplaced_store_names_the_lowest_diverging_word() {
+        assert!(check_ise(&store_check(AluOp::Add)).is_empty());
+        // The patch stores `in2` at `in0 | in1` instead of `in0 + in1`.
+        let bad = store_check(AluOp::Or);
+        let seed = 0x5EED;
+        let r = differential(&bad, seed);
+        assert!(r.has_error("ISE-DIFF"), "{r}");
+        // Replay the trials one word at a time, as two fresh scratchpads
+        // compared word by word, to find the first divergence.
+        let mut rng = XorShift(seed | 1);
+        let want = (0..DIFF_TRIALS).find_map(|trial| {
+            let ext: Vec<u32> = (0..3).map(|_| (rng.next() as u32 % 1024) & !3).collect();
+            let (mut a, mut b) = (MapSpm::new(), MapSpm::new());
+            for i in 0..SPM_PRESET_WORDS as u32 {
+                let v = rng.next() as u32;
+                a.set(i * 4, v);
+                b.set(i * 4, v);
+            }
+            a.set(ext[0].wrapping_add(ext[1]), ext[2]);
+            b.set(ext[0] | ext[1], ext[2]);
+            (0..SPM_COMPARE_WORDS as u32)
+                .find(|&i| a.get(i * 4) != b.get(i * 4))
+                .map(|i| {
+                    format!(
+                        "trial {trial} SPM word {i} diverges (patch {:#x}, reference {:#x})",
+                        b.get(i * 4),
+                        a.get(i * 4)
+                    )
+                })
+        });
+        let want = want.expect("the misplaced store diverges in some trial");
+        let text = r.to_string();
+        assert!(text.contains(&want), "want `{want}` in:\n{text}");
+        assert!(text.contains("`spm_store`:"), "{text}");
+    }
+
+    #[test]
+    fn divergence_past_the_preset_is_reported() {
+        let check = store_check(AluOp::Add);
+        let preset: Vec<u32> = (0..SPM_PRESET_WORDS as u32).map(|i| i * 7 + 1).collect();
+        let (mut reference, mut patch) = (MapSpm::new(), MapSpm::new());
+        reference.reset(&preset);
+        patch.reset(&preset);
+        assert!(spm_divergence(&check, 0, &reference, &patch).is_none());
+        // Words 512..1023 are outside the preset but inside the window.
+        for word in [512u32, 700, 1023] {
+            patch.reset(&preset);
+            patch.set(word * 4, 0xBEEF);
+            let d = spm_divergence(&check, 3, &reference, &patch).expect("compared");
+            assert_eq!(d.code, "ISE-DIFF");
+            assert_eq!(
+                d.message,
+                format!(
+                    "`spm_store`: trial 3 SPM word {word} diverges (patch 0xbeef, reference 0x0)"
+                )
+            );
+        }
+        // The lowest of several diverging words is named.
+        patch.reset(&preset);
+        patch.set(900 * 4, 1);
+        patch.set(600 * 4, 2);
+        patch.set(10 * 4, 3);
+        let d = spm_divergence(&check, 0, &reference, &patch).expect("compared");
+        assert!(
+            d.message
+                .contains("SPM word 10 diverges (patch 0x3, reference 0x47)"),
+            "{}",
+            d.message
+        );
+        // Word 1024 is past the compared window.
+        patch.reset(&preset);
+        patch.set(1024 * 4, 0xBEEF);
+        assert!(spm_divergence(&check, 0, &reference, &patch).is_none());
     }
 
     /// `mul_add_check` relabelled, and its defective copy with the

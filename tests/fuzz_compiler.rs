@@ -12,10 +12,20 @@
 //! 2. the differential simulation inside `compile_kernel` must find the
 //!    output regions bit-identical.
 //!
+//! The same random kernels, and every block of every shipped kernel,
+//! also pin the candidate enumerator against its reference search
+//! (`support/enumerate_reference.rs`): identical candidates, in order.
+//!
 //! `STITCH_FUZZ_SEEDS` overrides the seed count (default 24; CI runs
 //! 128).
 
-use stitch_compiler::{compile_kernel, verify_kernel, PatchConfig};
+#[path = "support/enumerate_reference.rs"]
+mod enumerate_reference;
+
+use stitch_compiler::{
+    compile_kernel, enumerate_candidates, verify_kernel, BlockDfg, Cfg, EnumerateLimits,
+    PatchConfig,
+};
 use stitch_isa::op::AluOp;
 use stitch_isa::{Cond, Program, ProgramBuilder, Reg};
 use stitch_patch::PatchClass;
@@ -75,26 +85,83 @@ fn env_u64(key: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
+/// The seeds of this run: `STITCH_FUZZ_SEEDS` widens the sweep
+/// (default 24; CI runs 128); `STITCH_FUZZ_SEED_BASE` shifts it onto
+/// fresh kernels for randomized CI batches. A failure prints the
+/// offending seed — replay with STITCH_FUZZ_SEED_BASE=<seed>
+/// STITCH_FUZZ_SEEDS=1.
+fn seeds() -> std::ops::Range<u64> {
+    let base = env_u64("STITCH_FUZZ_SEED_BASE", 0);
+    base..base + env_u64("STITCH_FUZZ_SEEDS", 24)
+}
+
+/// The random kernel of `seed`.
+fn seeded_kernel(seed: u64) -> Program {
+    let mut rng = stitch_sim::SimRng::new(0xF022 + seed);
+    let body: Vec<(u8, u8, u8, u8)> = (0..rng.range(2, 10))
+        .map(|_| {
+            (
+                rng.next_u32() as u8,
+                rng.next_u32() as u8,
+                rng.next_u32() as u8,
+                rng.next_u32() as u8,
+            )
+        })
+        .collect();
+    random_kernel(&body, 40)
+}
+
+/// Asserts that the enumerator returns its reference's candidates, in
+/// order, on every block of `program`; returns how many it compared.
+fn assert_enumerator_matches_reference(what: &str, program: &Program) -> usize {
+    let cfg = Cfg::build(program);
+    let mut compared = 0;
+    for block in &cfg.blocks {
+        let dfg = BlockDfg::build(program, &cfg, block);
+        let want = enumerate_reference::enumerate_candidates(&dfg, EnumerateLimits::default());
+        let got = enumerate_candidates(&dfg, EnumerateLimits::default());
+        assert_eq!(
+            got, want,
+            "{what}: block {} enumerates differently",
+            block.id
+        );
+        compared += got.len();
+    }
+    compared
+}
+
+#[test]
+fn enumerator_matches_reference_on_random_kernels() {
+    for seed in seeds() {
+        assert_enumerator_matches_reference(&format!("seed {seed}"), &seeded_kernel(seed));
+    }
+}
+
+#[test]
+fn enumerator_matches_reference_on_every_kernel_block() {
+    let mut compared = 0;
+    for kernel in stitch_kernels::all_kernels() {
+        let program = kernel.standalone().expect("kernel assembles");
+        compared += assert_enumerator_matches_reference(kernel.spec().name, &program);
+    }
+    for app in stitch_apps::App::all() {
+        for (i, node) in app.nodes.iter().enumerate() {
+            let program = node.kernel.standalone().expect("kernel assembles");
+            compared += assert_enumerator_matches_reference(&node.name, &program);
+            // The node program the workbench accelerates, unwired.
+            let node_program =
+                stitch_apps::build_placement_free_program(&app, i, stitch::DEFAULT_FRAMES)
+                    .expect("node program assembles");
+            compared += assert_enumerator_matches_reference(&node.name, &node_program);
+        }
+    }
+    assert!(compared > 1000, "only {compared} candidates compared");
+}
+
 #[test]
 fn random_kernels_accelerate_soundly() {
-    // `STITCH_FUZZ_SEEDS` widens the sweep (default 24; CI runs 128);
-    // `STITCH_FUZZ_SEED_BASE` shifts it onto fresh kernels for
-    // randomized CI batches. A failure prints the offending seed —
-    // replay with STITCH_FUZZ_SEED_BASE=<seed> STITCH_FUZZ_SEEDS=1.
-    let base = env_u64("STITCH_FUZZ_SEED_BASE", 0);
-    for seed in base..base + env_u64("STITCH_FUZZ_SEEDS", 24) {
-        let mut rng = stitch_sim::SimRng::new(0xF022 + seed);
-        let body: Vec<(u8, u8, u8, u8)> = (0..rng.range(2, 10))
-            .map(|_| {
-                (
-                    rng.next_u32() as u8,
-                    rng.next_u32() as u8,
-                    rng.next_u32() as u8,
-                    rng.next_u32() as u8,
-                )
-            })
-            .collect();
-        let program = random_kernel(&body, 40);
+    for seed in seeds() {
+        let program = seeded_kernel(seed);
         let configs = [
             PatchConfig::Single(PatchClass::AtMa),
             PatchConfig::Single(PatchClass::AtSa),
