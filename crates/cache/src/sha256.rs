@@ -172,47 +172,135 @@ impl Sha256 {
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
+        let mut w = [0u32; 16];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(chunk.try_into().expect("4 bytes"));
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni::available() {
+            // SAFETY: `available` just confirmed that this CPU has every
+            // instruction-set extension `sha_ni::compress` enables.
+            unsafe { sha_ni::compress(&mut self.state, &w) };
+            return;
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
+        compress_portable(&mut self.state, &w);
+    }
+}
+
+/// One FIPS 180-4 block compression of the big-endian message words `m`.
+fn compress_portable(state: &mut [u32; 8], m: &[u32; 16]) {
+    let mut w = [0u32; 64];
+    w[..16].copy_from_slice(m);
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+/// The same compression on the x86 SHA extensions, which run two rounds
+/// per instruction: content keys hash every program a workbench loads,
+/// and this takes that hashing to a fraction of the portable rounds'
+/// cost. The lane layout follows Intel's SHA-extensions reference: the
+/// state travels as `(a, b, e, f)` and `(c, d, g, h)`.
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use super::K;
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_extract_epi32, _mm_set_epi32,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    /// Whether this CPU has every extension [`compress`] enables.
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Four words as one vector, `v[0]` in the lowest lane.
+    #[target_feature(enable = "sse2")]
+    fn lanes(v: &[u32]) -> __m128i {
+        _mm_set_epi32(v[3] as i32, v[2] as i32, v[1] as i32, v[0] as i32)
+    }
+
+    /// Compresses one block of big-endian message words `m` into `state`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support SHA, SSE2, SSSE3 and SSE4.1 ([`available`]).
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress(state: &mut [u32; 8], m: &[u32; 16]) {
+        let dcba = lanes(&state[..4]);
+        let hgfe = lanes(&state[4..]);
+        let badc = _mm_shuffle_epi32(dcba, 0xB1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+        let mut abef = _mm_alignr_epi8(badc, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, badc, 0xF0);
+        let (abef_in, cdgh_in) = (abef, cdgh);
+
+        let mut w = [
+            lanes(&m[0..4]),
+            lanes(&m[4..8]),
+            lanes(&m[8..12]),
+            lanes(&m[12..16]),
+        ];
+        for i in 0..16 {
+            if i >= 4 {
+                // W[4i..4i+4] from the four previous quads, kept in a ring.
+                let t = _mm_sha256msg1_epu32(w[i % 4], w[(i + 1) % 4]);
+                let t = _mm_add_epi32(t, _mm_alignr_epi8(w[(i + 3) % 4], w[(i + 2) % 4], 4));
+                w[i % 4] = _mm_sha256msg2_epu32(t, w[(i + 3) % 4]);
+            }
+            let wk = _mm_add_epi32(w[i % 4], lanes(&K[4 * i..4 * i + 4]));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+        let hgef = _mm_alignr_epi8(dchg, feba, 8);
+        *state = [
+            _mm_extract_epi32(dcba, 0) as u32,
+            _mm_extract_epi32(dcba, 1) as u32,
+            _mm_extract_epi32(dcba, 2) as u32,
+            _mm_extract_epi32(dcba, 3) as u32,
+            _mm_extract_epi32(hgef, 0) as u32,
+            _mm_extract_epi32(hgef, 1) as u32,
+            _mm_extract_epi32(hgef, 2) as u32,
+            _mm_extract_epi32(hgef, 3) as u32,
+        ];
     }
 }
 
@@ -274,6 +362,33 @@ mod tests {
             h.update(&data[..cut]);
             h.update(&data[cut..]);
             assert_eq!(h.finalize(), want, "split at {cut}");
+        }
+    }
+
+    /// The SHA-extensions rounds agree with the portable rounds on
+    /// arbitrary states and blocks (the known answers above run whichever
+    /// path this CPU takes).
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sha_extensions_match_the_portable_rounds() {
+        if !sha_ni::available() {
+            return;
+        }
+        let mut x = 0x9E37_79B9u32;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x
+        };
+        for _ in 0..256 {
+            let m: [u32; 16] = std::array::from_fn(|_| next());
+            let start: [u32; 8] = std::array::from_fn(|_| next());
+            let (mut portable, mut ni) = (start, start);
+            compress_portable(&mut portable, &m);
+            // SAFETY: `available` confirmed the extensions above.
+            unsafe { sha_ni::compress(&mut ni, &m) };
+            assert_eq!(portable, ni, "state {start:08x?}, block {m:08x?}");
         }
     }
 

@@ -10,7 +10,8 @@
 //!   `rename`d into place, so readers observe a complete file or none.
 //! * **Self-checking files** — magic/format version, the full content
 //!   key echoed back (a renamed or hash-colliding file cannot
-//!   impersonate another key), the payload, and an FNV-1a checksum.
+//!   impersonate another key), the payload, and a word-wise checksum
+//!   ([`checksum`]).
 //! * **Invalid reads as absent** — truncation, corruption, a stale
 //!   format version, a key mismatch: every failure mode returns `None`,
 //!   and the caller re-verifies live. A poisoned cache can cost time,
@@ -23,13 +24,15 @@
 
 use crate::{fnv1a64, DecodeError, Rec, RecView};
 use std::fs;
+use std::hash::Hasher;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use stitch_isa::FastHasher;
 
 /// Magic + format version of an artifact file (bumping the version
 /// retires every existing artifact at once).
-const MAGIC: &[u8; 8] = b"STCHART1";
+const MAGIC: &[u8; 8] = b"STCHART2";
 
 /// Extension of completed artifact files.
 const ART_EXT: &str = "art";
@@ -116,8 +119,15 @@ impl ArtifactStore {
     }
 
     fn load_inner(&self, key: &str) -> Option<Vec<u8>> {
-        let bytes = fs::read(self.path_for(key)).ok()?;
-        Some(payload_of(&bytes, key).ok()?.to_vec())
+        let mut bytes = fs::read(self.path_for(key)).ok()?;
+        let payload = payload_of(&bytes, key).ok()?;
+        // The payload is a sub-slice of `bytes`: cut the file buffer
+        // down to it in place rather than copying it out.
+        let start = payload.as_ptr() as usize - bytes.as_ptr() as usize;
+        let end = start + payload.len();
+        bytes.truncate(end);
+        bytes.drain(..start);
+        Some(bytes)
     }
 
     /// Atomically records `payload` as the artifact for `key`: the bytes
@@ -133,7 +143,7 @@ impl ArtifactStore {
         rec.raw(MAGIC);
         rec.str(key);
         rec.blob(payload);
-        let sum = fnv1a64(rec.as_bytes());
+        let sum = checksum(rec.as_bytes());
         rec.u64(sum);
         let tmp = path.with_extension("tmp");
         fs::write(&tmp, rec.into_bytes())?;
@@ -195,6 +205,26 @@ impl ArtifactStore {
     }
 }
 
+/// A store file's self-checksum (corruption detection only — content
+/// *keys* use SHA-256): [`FastHasher`] over the bytes as little-endian
+/// 8-byte words, the zero-padded tail, then the length. Each step is a
+/// bijection of the state and of the word, so a change confined to one
+/// word always changes the sum; a word per step keeps a load's check to
+/// a fraction of a byte-at-a-time FNV-1a.
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut h = FastHasher::default();
+    let words = bytes.chunks_exact(8);
+    let tail = words.remainder();
+    for w in words {
+        h.write_u64(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    let mut last = [0u8; 8];
+    last[..tail.len()].copy_from_slice(tail);
+    h.write_u64(u64::from_le_bytes(last));
+    h.write_u64(bytes.len() as u64);
+    h.finish()
+}
+
 /// Checks an artifact file's framing — magic, echoed key, checksum,
 /// nothing trailing — and returns its payload.
 fn payload_of<'a>(bytes: &'a [u8], key: &str) -> Result<&'a [u8], DecodeError> {
@@ -208,7 +238,7 @@ fn payload_of<'a>(bytes: &'a [u8], key: &str) -> Result<&'a [u8], DecodeError> {
     let payload = v.blob()?;
     let sum = v.u64()?;
     v.finish()?;
-    if sum != fnv1a64(&bytes[..bytes.len() - 8]) {
+    if sum != checksum(&bytes[..bytes.len() - 8]) {
         return Err(DecodeError::corrupt("checksum"));
     }
     Ok(payload)
@@ -268,12 +298,12 @@ mod tests {
     #[test]
     fn version_bumped_artifacts_read_as_absent() {
         let s = tmp_store("version");
-        for stale_magic in [b"STCHART0", b"STCHART2", b"STCHPT01"] {
+        for stale_magic in [b"STCHART0", b"STCHART1", b"STCHART3", b"STCHPT01"] {
             let mut rec = Rec::new();
             rec.raw(stale_magic);
             rec.str("vkey");
             rec.blob(b"old payload");
-            let sum = fnv1a64(rec.as_bytes());
+            let sum = checksum(rec.as_bytes());
             rec.u64(sum);
             fs::write(s.path_for("vkey"), rec.into_bytes()).expect("write stale");
             assert_eq!(

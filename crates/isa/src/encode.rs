@@ -73,8 +73,19 @@ pub fn encode(
     pc: u32,
     target_words: impl Fn(u32) -> u32,
 ) -> Result<Vec<u32>, IsaError> {
+    let (words, n) = encode_words(instr, pc, target_words)?;
+    Ok(words[..n].to_vec())
+}
+
+/// [`encode`] without allocating: the words in a fixed pair, and how
+/// many of them the instruction uses.
+fn encode_words(
+    instr: &Instr,
+    pc: u32,
+    target_words: impl Fn(u32) -> u32,
+) -> Result<([u32; 2], usize), IsaError> {
     let op = |o: Opcode| (o as u32) << 26;
-    let one = |w: u32| Ok(vec![w]);
+    let one = |w: u32| Ok(([w, 0], 1));
     match instr {
         Instr::Nop => one(op(Opcode::Nop)),
         Instr::Halt => one(op(Opcode::Halt)),
@@ -179,7 +190,7 @@ pub fn encode(
                 | field(ins[3].index().into(), 22, 5)
                 | field(out0.index().into(), 17, 5)
                 | field(out1.index().into(), 12, 5);
-            Ok(vec![w0, w1])
+            Ok(([w0, w1], 2))
         }
     }
 }
@@ -193,6 +204,7 @@ pub fn encode(
 /// # Errors
 ///
 /// Fails on unknown opcodes or malformed fields.
+#[inline]
 pub fn decode(words: &[u32], pc: u32) -> Result<(Instr, u32), IsaError> {
     let word = *words.first().ok_or(IsaError::Decode {
         word: 0,
@@ -342,7 +354,8 @@ pub fn encode_program(instrs: &[Instr]) -> Result<Vec<u32>, IsaError> {
 
     let mut out = Vec::with_capacity(off as usize);
     for (i, instr) in instrs.iter().enumerate() {
-        out.extend(encode(instr, word_of[i], lookup)?);
+        let (words, n) = encode_words(instr, word_of[i], lookup)?;
+        out.extend_from_slice(&words[..n]);
     }
     Ok(out)
 }

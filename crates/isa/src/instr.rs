@@ -236,55 +236,100 @@ impl Instr {
     #[must_use]
     pub fn uses(&self) -> Vec<Reg> {
         let mut v = Vec::with_capacity(4);
+        self.each_use(|r| v.push(r));
+        v
+    }
+
+    /// [`Instr::uses`] as a register mask (bit *i* = `r<i>`), without
+    /// allocating.
+    #[must_use]
+    pub fn use_mask(&self) -> u32 {
+        let mut m = 0;
+        self.each_use(|r| m |= 1 << r.index());
+        m
+    }
+
+    /// Calls `f` on every register read, in operand order, skipping `r0`.
+    fn each_use(&self, mut f: impl FnMut(Reg)) {
+        let mut read = |r: Reg| {
+            if !r.is_zero() {
+                f(r);
+            }
+        };
         match self {
             Instr::Nop | Instr::Halt | Instr::Lui { .. } | Instr::Jal { .. } => {}
             Instr::Alu { rs1, src2, .. } => {
-                v.push(*rs1);
+                read(*rs1);
                 if let Operand::Reg(r) = src2 {
-                    v.push(*r);
+                    read(*r);
                 }
             }
-            Instr::Load { base, .. } => v.push(*base),
+            Instr::Load { base, .. } => read(*base),
             Instr::Store { rs, base, .. } => {
-                v.push(*rs);
-                v.push(*base);
+                read(*rs);
+                read(*base);
             }
             Instr::Branch { rs1, rs2, .. } => {
-                v.push(*rs1);
-                v.push(*rs2);
+                read(*rs1);
+                read(*rs2);
             }
-            Instr::Jalr { rs, .. } => v.push(*rs),
-            Instr::Custom(ci) => v.extend(ci.inputs()),
+            Instr::Jalr { rs, .. } => read(*rs),
+            Instr::Custom(ci) => {
+                for &r in ci.inputs() {
+                    read(r);
+                }
+            }
             Instr::Send { dst, addr, len } => {
-                v.push(*dst);
-                v.push(*addr);
-                v.push(*len);
+                read(*dst);
+                read(*addr);
+                read(*len);
             }
             Instr::Recv { src, addr, len } => {
-                v.push(*src);
-                v.push(*addr);
-                v.push(*len);
+                read(*src);
+                read(*addr);
+                read(*len);
             }
         }
-        v.retain(|r| !r.is_zero());
-        v
     }
 
     /// Registers written by this instruction.
     #[must_use]
     pub fn defs(&self) -> Vec<Reg> {
         let mut v = Vec::with_capacity(2);
+        self.each_def(|r| v.push(r));
+        v
+    }
+
+    /// [`Instr::defs`] as a register mask (bit *i* = `r<i>`), without
+    /// allocating.
+    #[must_use]
+    pub fn def_mask(&self) -> u32 {
+        let mut m = 0;
+        self.each_def(|r| m |= 1 << r.index());
+        m
+    }
+
+    /// Calls `f` on every register written, in operand order, skipping
+    /// `r0`.
+    fn each_def(&self, mut f: impl FnMut(Reg)) {
+        let mut write = |r: Reg| {
+            if !r.is_zero() {
+                f(r);
+            }
+        };
         match self {
             Instr::Alu { rd, .. }
             | Instr::Lui { rd, .. }
             | Instr::Load { rd, .. }
             | Instr::Jal { rd, .. }
-            | Instr::Jalr { rd, .. } => v.push(*rd),
-            Instr::Custom(ci) => v.extend(ci.outputs()),
+            | Instr::Jalr { rd, .. } => write(*rd),
+            Instr::Custom(ci) => {
+                for &r in ci.outputs() {
+                    write(r);
+                }
+            }
             _ => {}
         }
-        v.retain(|r| !r.is_zero());
-        v
     }
 
     /// Returns `true` if this instruction ends a basic block
@@ -422,6 +467,48 @@ mod tests {
         };
         assert!(z.uses().is_empty());
         assert!(z.defs().is_empty());
+        assert_eq!((z.use_mask(), z.def_mask()), (0, 0));
+    }
+
+    #[test]
+    fn masks_match_the_register_lists() {
+        let mask = |regs: Vec<Reg>| regs.iter().fold(0u32, |m, r| m | (1 << r.index()));
+        let ci = CustomInstr::new(
+            crate::CiId(0),
+            &[Reg::R7, Reg::R0, Reg::R9],
+            &[Reg::R10, Reg::R11],
+        )
+        .expect("custom instruction");
+        let instrs = [
+            Instr::Alu {
+                op: AluOp::Add,
+                rd: Reg::R3,
+                rs1: Reg::R1,
+                src2: Operand::Reg(Reg::R2),
+            },
+            Instr::Store {
+                w: Width::Word,
+                rs: Reg::R4,
+                base: Reg::R5,
+                offset: 8,
+            },
+            Instr::Jal {
+                rd: Reg::R31,
+                target: 0,
+            },
+            Instr::Send {
+                dst: Reg::R1,
+                addr: Reg::R2,
+                len: Reg::R3,
+            },
+            Instr::Custom(ci),
+            Instr::Halt,
+        ];
+        for i in &instrs {
+            assert_eq!(i.use_mask(), mask(i.uses()), "{i}");
+            assert_eq!(i.def_mask(), mask(i.defs()), "{i}");
+        }
+        assert_eq!(Instr::Custom(ci).uses(), vec![Reg::R7, Reg::R9]);
     }
 
     #[test]

@@ -154,6 +154,7 @@ impl Rec {
     /// Appends a length-prefixed vector of words.
     pub fn words(&mut self, w: &[u32]) {
         self.u32(w.len() as u32);
+        self.buf.reserve(4 * w.len());
         for &x in w {
             self.u32(x);
         }
@@ -162,6 +163,7 @@ impl Rec {
     /// Appends a length-prefixed vector of `u64`s.
     pub fn u64s(&mut self, v: &[u64]) {
         self.u32(v.len() as u32);
+        self.buf.reserve(8 * v.len());
         for &x in v {
             self.u64(x);
         }
@@ -274,13 +276,21 @@ impl<'a> RecView<'a> {
     /// [`RecView::seq_len`].
     pub fn words(&mut self) -> Result<Vec<u32>, DecodeError> {
         let n = self.seq_len(4, "word count")?;
-        (0..n).map(|_| self.u32()).collect()
+        let bytes = self.bytes(4 * n)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+            .collect())
     }
 
     /// Next length-prefixed `u64` vector; as [`RecView::words`].
     pub fn u64s(&mut self) -> Result<Vec<u64>, DecodeError> {
         let n = self.seq_len(8, "u64 count")?;
-        (0..n).map(|_| self.u64()).collect()
+        let bytes = self.bytes(8 * n)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+            .collect())
     }
 }
 

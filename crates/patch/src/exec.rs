@@ -14,11 +14,6 @@ pub trait SpmPort {
     fn store(&mut self, offset: u32, value: u32);
 }
 
-/// Word offsets below this bound live in a dense array: the low 4 KiB,
-/// which covers every word the ISE differential check presets and
-/// compares. Offsets above it fall back to a sparse map.
-const DENSE_WORDS: usize = 1024;
-
 /// A simple in-memory [`SpmPort`] for tests and the compiler's speedup
 /// estimation. Every word reads 0 until written; offsets are rounded
 /// down to a word boundary.
@@ -31,13 +26,18 @@ pub struct MapSpm {
 impl Default for MapSpm {
     fn default() -> Self {
         Self {
-            dense: vec![0; DENSE_WORDS],
+            dense: vec![0; Self::DENSE_WORDS],
             sparse: HashMap::new(),
         }
     }
 }
 
 impl MapSpm {
+    /// Word offsets below this bound live in a dense array: the low
+    /// 4 KiB, which covers every word the ISE differential check presets
+    /// and compares. Offsets above it fall back to a sparse map.
+    pub const DENSE_WORDS: usize = 1024;
+
     /// Creates an empty scratchpad.
     #[must_use]
     pub fn new() -> Self {
@@ -70,8 +70,8 @@ impl MapSpm {
         self.sparse.clear();
     }
 
-    /// The dense window, the low 4 KiB: element `i` is the word at byte
-    /// offset `4 * i`.
+    /// The dense window, [`MapSpm::DENSE_WORDS`] words: element `i` is
+    /// the word at byte offset `4 * i`.
     #[must_use]
     pub fn dense_words(&self) -> &[u32] {
         &self.dense
@@ -260,7 +260,7 @@ mod tests {
     fn map_spm_is_word_addressed_across_the_dense_window() {
         let mut spm = MapSpm::new();
         // 4092 is the last dense word, 4096 the first sparse one.
-        assert_eq!(DENSE_WORDS * 4, 4096);
+        assert_eq!(MapSpm::DENSE_WORDS * 4, 4096);
         for (offset, value) in [(4092, 1), (4096, 2), (0xFFFF_FFFC, 3)] {
             assert_eq!(spm.get(offset), 0, "unwritten word {offset:#x} reads 0");
             spm.set(offset, value);
@@ -299,7 +299,7 @@ mod tests {
         }
         reused.reset(&preset);
         assert_eq!(reused.dense_words(), fresh.dense_words());
-        assert_eq!(reused.dense_words().len(), DENSE_WORDS);
+        assert_eq!(reused.dense_words().len(), MapSpm::DENSE_WORDS);
         for offset in [0, 2044, 2048, 4092, 4096, 0xFFFF_FFFC] {
             assert_eq!(reused.get(offset), fresh.get(offset), "{offset:#x}");
         }

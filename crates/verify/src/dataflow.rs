@@ -19,14 +19,20 @@
 use crate::diag::{Diagnostic, Report, Span};
 use std::collections::BTreeSet;
 use stitch_isa::memmap::{DRAM_SIZE, SPM_BASE, SPM_SIZE};
-use stitch_isa::{Instr, Program, Reg};
+use stitch_isa::{Instr, Program};
 use stitch_patch::{ControlWord, PatchClass};
 
 /// Register set as a 32-bit mask (bit *i* = `r<i>`).
 type RegSet = u32;
 
-fn mask(regs: &[Reg]) -> RegSet {
-    regs.iter().fold(0, |m, r| m | (1 << r.index()))
+/// Every instruction's `(uses, defs)` register sets, built once per
+/// program: the fixpoints and the reporting walks read these masks and
+/// fetch the register lists only where a diagnostic fires.
+fn reg_masks(p: &Program) -> Vec<(RegSet, RegSet)> {
+    p.instrs
+        .iter()
+        .map(|i| (i.use_mask(), i.def_mask()))
+        .collect()
 }
 
 /// A basic block: instruction range `[start, end]` inclusive.
@@ -266,20 +272,14 @@ fn check_data_segments(p: &Program, report: &mut Report) {
 
 /// Forward use-def pass: warns on registers read before any definition
 /// on some path. Entry-block registers start undefined except `r0`.
-fn check_uninit(p: &Program, cfg: &MiniCfg, report: &mut Report) {
+fn check_uninit(p: &Program, cfg: &MiniCfg, masks: &[(RegSet, RegSet)], report: &mut Report) {
     let nb = cfg.blocks.len();
     // Per-block: registers definitely defined on *every* path to entry.
     let mut defined_in = vec![u32::MAX; nb];
     for &r in &cfg.roots {
         defined_in[r] = 0;
     }
-    let gen_of = |b: &Block| {
-        let mut def = 0;
-        for pc in b.start..=b.end {
-            def |= mask(&p.instrs[pc].defs());
-        }
-        def
-    };
+    let gen_of = |b: &Block| masks[b.start..=b.end].iter().fold(0, |m, &(_, d)| m | d);
     let gens: Vec<RegSet> = cfg.blocks.iter().map(gen_of).collect();
     let mut preds: Vec<Vec<usize>> = vec![Vec::new(); nb];
     for (b, blk) in cfg.blocks.iter().enumerate() {
@@ -314,25 +314,26 @@ fn check_uninit(p: &Program, cfg: &MiniCfg, report: &mut Report) {
             continue;
         }
         let mut defined = defined_in[b];
-        for pc in blk.start..=blk.end {
-            let instr = &p.instrs[pc];
-            for r in instr.uses() {
-                if defined & (1 << r.index()) == 0 {
-                    report.push(Diagnostic::warning(
-                        "W32-UNINIT",
-                        Span::Pc(pc as u32),
-                        format!("{r} may be read before it is written (reads reset value 0)"),
-                    ));
+        for (pc, &(uses, defs)) in (blk.start..).zip(&masks[blk.start..=blk.end]) {
+            if uses & !defined != 0 {
+                for r in p.instrs[pc].uses() {
+                    if defined & (1 << r.index()) == 0 {
+                        report.push(Diagnostic::warning(
+                            "W32-UNINIT",
+                            Span::Pc(pc as u32),
+                            format!("{r} may be read before it is written (reads reset value 0)"),
+                        ));
+                    }
                 }
             }
-            defined |= mask(&instr.defs());
+            defined |= defs;
         }
     }
 }
 
 /// Backward liveness pass: warns on register writes that no path ever
 /// reads before the next write or program end.
-fn check_dead_stores(p: &Program, cfg: &MiniCfg, report: &mut Report) {
+fn check_dead_stores(p: &Program, cfg: &MiniCfg, masks: &[(RegSet, RegSet)], report: &mut Report) {
     let nb = cfg.blocks.len();
     let mut live_in = vec![0u32; nb];
     let use_def_of = |b: &Block| {
@@ -340,10 +341,9 @@ fn check_dead_stores(p: &Program, cfg: &MiniCfg, report: &mut Report) {
         // `defs` = registers written in the block.
         let mut uses = 0u32;
         let mut defs = 0u32;
-        for pc in b.start..=b.end {
-            let instr = &p.instrs[pc];
-            uses |= mask(&instr.uses()) & !defs;
-            defs |= mask(&instr.defs());
+        for &(u, d) in &masks[b.start..=b.end] {
+            uses |= u & !defs;
+            defs |= d;
         }
         (uses, defs)
     };
@@ -370,18 +370,20 @@ fn check_dead_stores(p: &Program, cfg: &MiniCfg, report: &mut Report) {
         }
         let mut live = blk.succs.iter().fold(0u32, |m, &s| m | live_in[s]);
         for pc in (blk.start..=blk.end).rev() {
-            let instr = &p.instrs[pc];
-            for r in instr.defs() {
-                if live & (1 << r.index()) == 0 {
-                    report.push(Diagnostic::warning(
-                        "W32-DEAD",
-                        Span::Pc(pc as u32),
-                        format!("{r} is written here but never read afterwards"),
-                    ));
+            let (uses, defs) = masks[pc];
+            if defs & !live != 0 {
+                for r in p.instrs[pc].defs() {
+                    if live & (1 << r.index()) == 0 {
+                        report.push(Diagnostic::warning(
+                            "W32-DEAD",
+                            Span::Pc(pc as u32),
+                            format!("{r} is written here but never read afterwards"),
+                        ));
+                    }
+                    live &= !(1 << r.index());
                 }
-                live &= !(1 << r.index());
             }
-            live |= mask(&instr.uses());
+            live = (live & !defs) | uses;
         }
     }
 }
@@ -408,8 +410,9 @@ pub fn check_program(p: &Program) -> Report {
     }
     check_custom_instrs(p, &mut report);
     check_data_segments(p, &mut report);
-    check_uninit(p, &cfg, &mut report);
-    check_dead_stores(p, &cfg, &mut report);
+    let masks = reg_masks(p);
+    check_uninit(p, &cfg, &masks, &mut report);
+    check_dead_stores(p, &cfg, &masks, &mut report);
     report
 }
 

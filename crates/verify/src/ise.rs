@@ -27,7 +27,7 @@
 //! dead code it replaced.
 
 use crate::diag::{Diagnostic, Report, Span};
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
@@ -119,13 +119,14 @@ const SPM_PRESET_WORDS: usize = 512;
 /// [`MapSpm`], so stores past the preset are compared too.
 const SPM_COMPARE_WORDS: usize = 1024;
 
-/// What an obligation's verdict depends on: the subgraph and the
-/// mapping. The name and ci only label diagnostics.
-type ObligationKey = (IseSubgraph, IseMapping);
+// `spm_divergence` slices the compared window out of each scratchpad's
+// dense words, so the window must fit inside them.
+const _: () = assert!(SPM_COMPARE_WORDS <= MapSpm::DENSE_WORDS);
 
-/// FNV-1a over the derived `Hash` of an [`ObligationKey`], so an
-/// obligation's trial seed is the same in every process and on every
-/// host. The key holds only bytes, bools and `usize`s, and enum
+/// FNV-1a over the derived `Hash` of an obligation's `(subgraph,
+/// mapping)`, what its verdict depends on (the name and ci only label
+/// diagnostics), so its trial seed is the same in every process and on
+/// every host. The key holds only bytes, bools and `usize`s, and enum
 /// discriminants arrive as `isize`; both wide kinds are fed as 64
 /// little-endian bits.
 struct Fnv1a(u64);
@@ -150,21 +151,29 @@ impl Hasher for Fnv1a {
     }
 }
 
-fn stable_hash(key: &ObligationKey) -> u64 {
+fn stable_hash(check: &IseCheck) -> u64 {
     let mut h = Fnv1a(0xCBF2_9CE4_8422_2325);
-    key.hash(&mut h);
+    (&check.subgraph, &check.mapping).hash(&mut h);
     h.finish()
 }
 
-/// Obligations proven clean in this process. Process-wide like the
-/// mapper's search cache, because most hits cross `accelerate_all`
-/// calls (DESIGN.md §8).
-fn proven() -> MutexGuard<'static, HashSet<ObligationKey>> {
-    static PROVEN: OnceLock<Mutex<HashSet<ObligationKey>>> = OnceLock::new();
+/// Obligations proven clean in this process: each subgraph with the
+/// mappings proven against it. A probe borrows the obligation's parts,
+/// so a memo hit clones nothing. Process-wide like the mapper's search
+/// cache, because most hits cross `accelerate_all` calls (DESIGN.md §8).
+type ProvenMemo = HashMap<IseSubgraph, Vec<IseMapping>>;
+
+fn proven() -> MutexGuard<'static, ProvenMemo> {
+    static PROVEN: OnceLock<Mutex<ProvenMemo>> = OnceLock::new();
     PROVEN
-        .get_or_init(|| Mutex::new(HashSet::new()))
+        .get_or_init(|| Mutex::new(HashMap::new()))
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
+}
+
+fn is_proven(memo: &ProvenMemo, check: &IseCheck) -> bool {
+    memo.get(&check.subgraph)
+        .is_some_and(|mappings| mappings.contains(&check.mapping))
 }
 
 /// [`check_ise`] calls answered by the proof memo so far.
@@ -180,7 +189,12 @@ pub fn ise_memo_hits() -> u64 {
 /// Records `check` as proven clean without running its proof, e.g.
 /// when a stored artifact's empty report already vouches for it.
 pub fn mark_proven(check: &IseCheck) {
-    proven().insert((check.subgraph.clone(), check.mapping.clone()));
+    let mut memo = proven();
+    if !is_proven(&memo, check) {
+        memo.entry(check.subgraph.clone())
+            .or_default()
+            .push(check.mapping.clone());
+    }
 }
 
 struct XorShift(u64);
@@ -650,14 +664,13 @@ fn symbolic(check: &IseCheck) -> Report {
 /// obligation.
 #[must_use]
 pub fn check_ise(check: &IseCheck) -> Report {
-    let key = (check.subgraph.clone(), check.mapping.clone());
-    if proven().contains(&key) {
+    if is_proven(&proven(), check) {
         MEMO_HITS.fetch_add(1, Ordering::Relaxed);
         return Report::new();
     }
-    let report = prove(check, stable_hash(&key));
+    let report = prove(check, stable_hash(check));
     if report.is_empty() {
-        proven().insert(key);
+        mark_proven(check);
     }
     report
 }
